@@ -95,7 +95,25 @@ let policy_arg =
           "Sequencer capacity policy for the group protocol: $(b,single) \
            (the paper's, default), $(b,batch)[:N], $(b,rotate)[:N], \
            $(b,shard)[:N] or $(b,failover).  The kernel stack accepts \
-           single and batch only.")
+           single and batch only, and a $(b,seqcrash) fault needs a user \
+           stack with a policy other than single; other combinations exit 2.")
+
+(* Rejects, before anything is simulated, a stack x sequencer policy x
+   seqcrash combination the library cannot run: exit 2 with the reason,
+   like any other bad argument. *)
+let check_sequencer ?faults impls policies =
+  let seq_crash = Option.bind faults (fun f -> f.Faults.Spec.seq_crash) <> None in
+  List.iter
+    (fun impl ->
+      List.iter
+        (fun policy ->
+          match Core.Cluster.sequencer_support ~seq_crash impl policy with
+          | Ok () -> ()
+          | Error msg ->
+            prerr_endline ("amoeba_repro: " ^ msg);
+            exit 2)
+        policies)
+    impls
 
 let lanes_arg =
   Arg.(
@@ -267,6 +285,7 @@ let app_cmd =
              make the run exit nonzero.")
   in
   let run app impl procs net faults checked stats lanes sequencer =
+    check_sequencer ?faults [ impl ] [ sequencer ];
     let o =
       Core.Runner.run ?faults ~checked ~net ~lanes ~sequencer ~impl ~procs app
     in
@@ -415,6 +434,16 @@ let load_sweep_cmd =
   in
   let run impls rates nodes clients op arrival mix window warmup seed sequencer
       net faults checked out lanes jobs =
+    (match sequencer with
+     | Some (_ :: _ as policies) when policies <> [ Panda.Seq_policy.Single ] ->
+       (* The policy sweep runs the first of --impls only. *)
+       check_sequencer ?faults
+         [ (match impls with Some (i :: _) -> i | _ -> Core.Cluster.User) ]
+         policies
+     | _ ->
+       check_sequencer ?faults
+         (Option.value impls ~default:Core.Experiments.load_impls)
+         [ Panda.Seq_policy.Single ]);
     Core.Cluster.set_default_lanes lanes;
     let config =
       {
@@ -591,6 +620,7 @@ let replay_cmd =
   in
   let run gen trace rate duration period floor burst_mult scale mix impl nodes
       clients checked seed net faults lanes =
+    check_sequencer ?faults [ impl ] [ Panda.Seq_policy.Single ];
     Core.Cluster.set_default_lanes lanes;
     (match gen with
      | Some path ->
@@ -766,6 +796,7 @@ let soak_cmd =
   in
   let run impl nodes policy op rate period floor clients window windows mix
       seed net faults lanes =
+    check_sequencer ?faults [ impl ] [ policy ];
     Core.Cluster.set_default_lanes lanes;
     let report =
       Scenario.Soak.run

@@ -116,22 +116,38 @@ let rnics t =
     t.rnic_cache <- Some r;
     r
 
-let backends ?checker ?(policy = Panda.Seq_policy.Single) t impl =
+let sequencer_support ?(seq_crash = false) impl policy =
+  match (impl, policy) with
+  | Kernel, (Panda.Seq_policy.Single | Panda.Seq_policy.Batching _) ->
+    if seq_crash then
+      Error
+        "the kernel stack cannot recover from a sequencer crash (Amoeba's \
+         reset protocol is not modeled)"
+    else Ok ()
+  | Kernel, p ->
+    (* The kernel sequencer runs in interrupt context; of the capacity
+       policies only ordering-batch coalescing translates (rotation and
+       sharding would be kernel-reset-protocol surgery, §6). *)
+    Error
+      (Printf.sprintf
+         "the kernel stack cannot run sequencer policy %s (single and batch only)"
+         (Panda.Seq_policy.to_string p))
+  | _, Panda.Seq_policy.Single when seq_crash ->
+    Error "seqcrash needs a recoverable sequencer policy: single has no failover"
+  | _ -> Ok ()
+
+let backends ?checker ?(policy = Panda.Seq_policy.Single) ?seq_crash t impl =
+  (match sequencer_support ~seq_crash:(seq_crash <> None) impl policy with
+   | Ok () -> ()
+   | Error msg -> invalid_arg ("Cluster.backends: " ^ msg));
   let backends =
     match impl with
     | Kernel ->
-      (* The kernel sequencer runs in interrupt context; of the capacity
-         policies only ordering-batch coalescing translates (rotation and
-         sharding would be kernel-reset-protocol surgery, §6). *)
       let group_config =
         match policy with
-        | Panda.Seq_policy.Single -> Params.amoeba_group
         | Panda.Seq_policy.Batching b ->
           { Params.amoeba_group with Amoeba.Group.seq_batch_max = b }
-        | p ->
-          invalid_arg
-            (Printf.sprintf "Cluster.backends: kernel stack cannot run policy %s"
-               (Panda.Seq_policy.to_string p))
+        | _ -> Params.amoeba_group
       in
       Orca.Backend.kernel_stack ~rpc_config:Params.amoeba_rpc ~group_config t.flips ()
     | User ->
@@ -152,9 +168,16 @@ let backends ?checker ?(policy = Panda.Seq_policy.Single) t impl =
         ~rpc_config:Params.panda_rpc_opt ~group_config:Params.panda_group_opt
         ~policy t.flips ()
   in
-  match checker with
-  | Some c -> Faults.Invariants.wrap_backends c backends
-  | None -> backends
+  let backends =
+    match checker with
+    | Some c -> Faults.Invariants.wrap_backends c backends
+    | None -> backends
+  in
+  Option.iter
+    (fun at ->
+      ignore (Sim.Engine.at t.eng at (fun () -> backends.(0).Orca.Backend.crash_sequencer ())))
+    seq_crash;
+  backends
 
 let domain ?checker ?policy t impl =
   Orca.Rts.create_domain ~rts_overhead:Params.rts_overhead

@@ -70,9 +70,19 @@ val all_stacks : stack list
 
 val stack_of_string : string -> stack option
 
+val sequencer_support :
+  ?seq_crash:bool -> impl -> Panda.Seq_policy.t -> (unit, string) result
+(** Whether [impl]'s group protocol runs sequencer [policy] and, with
+    [seq_crash] (default [false]), recovers from a crash of its sequencer.
+    The kernel stack runs [Single] and [Batching] only and recovers under
+    neither; the user stacks run every policy and recover under every
+    policy but [Single].  [Error] carries a one-line reason, which the CLIs
+    print when they reject a flag combination. *)
+
 val backends :
   ?checker:Faults.Invariants.t ->
   ?policy:Panda.Seq_policy.t ->
+  ?seq_crash:Sim.Time.t ->
   t ->
   impl ->
   Orca.Backend.t array
@@ -83,8 +93,10 @@ val backends :
     With [checker] the backends are wrapped in the protocol-conformance
     checkers (checked mode); call [Faults.Invariants.finalize] after the
     run drains.  [policy] (default [Single]) selects the sequencer
-    capacity policy; the user stacks accept them all, the kernel stack
-    only [Single] and [Batching] (@raise Invalid_argument otherwise). *)
+    capacity policy.  [seq_crash] schedules a crash of rank 0's sequencer
+    at that instant (a fault spec's [seqcrash]).
+    @raise Invalid_argument when {!sequencer_support} rejects the
+    combination, before anything is built. *)
 
 val domain :
   ?checker:Faults.Invariants.t ->

@@ -681,7 +681,7 @@ let measured_breakdown ?pool () =
    ledger-vs-CPU-time invariant. *)
 let recorded_rpc ?(impl = `User) ?(size = 0) () =
   let rounds = warmup_rounds + measure_rounds in
-  let r = Obs.Recorder.create () in
+  let r = Obs.Recorder.create ~spans:true () in
   let _marks, machines =
     rpc_run ~recorder:r ~window:`Whole default_profile ~impl ~size ~rounds
   in
@@ -1022,13 +1022,11 @@ let load_cell ?faults ?(checked = false) ?net ?client_ranks
    | None -> ());
   let shards = Panda.Seq_policy.shards policy in
   let checker = if checked then Some (Faults.Invariants.create ~shards ()) else None in
-  let backends = Cluster.backends ?checker ~policy cluster impl in
-  (match faults with
-   | Some { Faults.Spec.seq_crash = Some at; _ } ->
-     ignore
-       (Sim.Engine.at cluster.Cluster.eng at (fun () ->
-            backends.(0).Orca.Backend.crash_sequencer ()))
-   | _ -> ());
+  let backends =
+    Cluster.backends ?checker ~policy
+      ?seq_crash:(Option.bind faults (fun f -> f.Faults.Spec.seq_crash))
+      cluster impl
+  in
   let seq_machine = Cluster.sequencer_machine cluster impl in
   let m =
     Load.Clients.run cfg ~eng:cluster.Cluster.eng ~backends

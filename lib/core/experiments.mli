@@ -382,7 +382,8 @@ val measured_breakdown :
 val recorded_rpc :
   ?impl:[ `User | `Kernel | `Opt ] -> ?size:int -> unit -> Obs.Recorder.t * Sim.Time.span
 (** Runs one Table 1 RPC benchmark (default: user-space, null) with a
-    recorder installed for the whole run; returns the recorder and the
+    span-keeping recorder installed for the whole run (the recorder behind
+    [--trace] and [--obs]); returns the recorder and the
     summed CPU busy time of both machines.  With the NIC header-reception
     correction counter, the ledger's CPU total equals the busy time
     exactly.  Intended for trace export and the obs test suite. *)

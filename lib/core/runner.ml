@@ -90,15 +90,13 @@ let run ?faults ?(checked = false) ?net ?lanes
       Some (Faults.Invariants.create ~shards:(Panda.Seq_policy.shards sequencer) ())
     else None
   in
-  let backends = Cluster.backends ?checker ~policy:sequencer cluster impl in
   (* A scheduled sequencer crash is a fault like any other: driven by the
      spec, visible to the app only as recovery latency. *)
-  (match faults with
-   | Some { Faults.Spec.seq_crash = Some at; _ } ->
-     ignore
-       (Sim.Engine.at cluster.Cluster.eng at (fun () ->
-            backends.(0).Orca.Backend.crash_sequencer ()))
-   | _ -> ());
+  let backends =
+    Cluster.backends ?checker ~policy:sequencer
+      ?seq_crash:(Option.bind faults (fun f -> f.Faults.Spec.seq_crash))
+      cluster impl
+  in
   let dom = Orca.Rts.create_domain ~rts_overhead:Params.rts_overhead backends in
   let body, result = app.app_make dom in
   let finish = ref Sim.Time.zero in

@@ -84,8 +84,7 @@ let rec locate t dst =
     if p.attempts >= t.cfg.locate_retries then begin
       (* Undeliverable: FLIP is unreliable, so drop silently (upper layers
          retransmit and re-locate). *)
-      Hashtbl.remove t.pendings dst;
-      Sim.Stats.incr (Machine.Mach.stats t.mach) "flip.locate_failed"
+      Hashtbl.remove t.pendings dst
     end
     else begin
       p.attempts <- p.attempts + 1;

@@ -47,9 +47,9 @@ val run :
     the RPC echo server and, for group traffic, the rank whose machine
     is reported as the sequencer's unless [seq_machine] names a
     dedicated one.  [client_ranks] defaults to every rank except
-    [server].  [recorder] (default: a private one) is installed over the
-    measurement window, so callers can read the layer × cause ledger
-    cells afterwards.  Runs the engine to completion;
+    [server].  [recorder] (default: a private ledger-only one) is
+    installed over the measurement window, so callers can read the
+    layer × cause ledger cells afterwards.  Runs the engine to completion;
     [Metrics.violations] is always 0 here (checked-mode callers fill it
     in after finalizing their checker).
 

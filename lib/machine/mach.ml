@@ -15,7 +15,6 @@ type t = {
   eng : Sim.Engine.t;
   cpu : Cpu.t;
   config : config;
-  stats : Sim.Stats.t;
 }
 
 let create eng ~id ~name config =
@@ -26,18 +25,15 @@ let create eng ~id ~name config =
       cold_preempt = config.ctx_cold_preempt;
     }
   in
-  { mid = id; mname = name; eng; cpu = Cpu.create ~name eng costs; config;
-    stats = Sim.Stats.create () }
+  { mid = id; mname = name; eng; cpu = Cpu.create ~name eng costs; config }
 
 let id t = t.mid
 let name t = t.mname
 let engine t = t.eng
 let cpu t = t.cpu
 let config t = t.config
-let stats t = t.stats
 
 let interrupt ?(layer = Obs.Layer.App) ?charges t ~name ~cost handler =
-  Sim.Stats.incr t.stats ("interrupt." ^ name);
   (* Interrupt entry is a kernel-boundary crossing; the body defaults to
      protocol processing unless the caller itemises it. *)
   Obs.Recorder.charge ~layer ~cause:Obs.Cause.Uk_crossing

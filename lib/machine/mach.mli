@@ -1,4 +1,4 @@
-(** A simulated processor board: one CPU, a cost configuration, statistics.
+(** A simulated processor board: one CPU and a cost configuration.
 
     Corresponds to one Tsunami board of the paper's processor pool.  Network
     devices ([Nic]) and protocol stacks attach themselves to a machine; the
@@ -32,7 +32,6 @@ val name : t -> string
 val engine : t -> Sim.Engine.t
 val cpu : t -> Cpu.t
 val config : t -> config
-val stats : t -> Sim.Stats.t
 
 val interrupt :
   ?layer:Obs.Layer.t ->

@@ -10,10 +10,8 @@ module Mutex = struct
   let charge t =
     (* Only threads pay the user-space lock cost; engine callbacks (tests,
        interrupt-adjacent code) may manipulate mutexes for free. *)
-    if Thread.self_opt () <> None then begin
-      Sim.Stats.incr (Mach.stats t.mach) "locks";
+    if Thread.self_opt () <> None then
       Thread.compute (Mach.config t.mach).Mach.lock_cost
-    end
 
   let rec lock t =
     charge t;

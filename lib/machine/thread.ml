@@ -11,23 +11,17 @@ type t = {
   regwin : Regwin.t;
 }
 
-(* Fiber-id -> thread, domain-local: fiber ids are unique within a domain
-   (see [Sim.Fiber]), and each simulation runs entirely on one domain, so a
-   shared table would both race and leak entries across parallel runs. *)
-let table_key : (int, t) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 64)
+(* A thread lives in its fiber's owner slot: finding the running thread
+   is a field read, and a finished simulation's threads become garbage
+   with its fibers. *)
+type Sim.Fiber.owner += Thread of t
 
-let table () = Domain.DLS.get table_key
-
-let self_opt () =
-  match Sim.Fiber.self_opt () with
-  | None -> None
-  | Some f -> Hashtbl.find_opt (table ()) (Sim.Fiber.id f)
+let self_opt () = match Sim.Fiber.current_owner () with Thread t -> Some t | _ -> None
 
 let self () =
-  match self_opt () with
-  | Some t -> t
-  | None -> invalid_arg "Thread.self: not inside a machine thread"
+  match Sim.Fiber.current_owner () with
+  | Thread t -> t
+  | _ -> invalid_arg "Thread.self: not inside a machine thread"
 
 let machine t = t.mach
 let name t = t.tname
@@ -50,9 +44,7 @@ let spawn mach ?(prio = Normal) tname body =
     Sim.Fiber.spawn (Mach.engine mach) ~name:(Mach.name mach ^ "/" ^ tname) (fun () -> body ())
   in
   t.fib <- Some fib;
-  let table = table () in
-  Hashtbl.replace table (Sim.Fiber.id fib) t;
-  Sim.Fiber.on_exit fib (fun () -> Hashtbl.remove table (Sim.Fiber.id fib));
+  Sim.Fiber.set_owner fib (Thread t);
   t
 
 let alive t = match t.fib with Some f -> Sim.Fiber.alive f | None -> false
@@ -67,7 +59,6 @@ let submit_self t ~layer d =
   if d < 0 then invalid_arg "Thread.compute: negative duration";
   if d = 0 then ()
   else begin
-    Sim.Stats.add (Mach.stats t.mach) "cpu.requested_ns" d;
     let needs_switch = t.blocked_since_run in
     t.blocked_since_run <- false;
     Sim.Fiber.suspend (fun fib resume ->
@@ -96,7 +87,6 @@ let compute_parts ?(layer = Obs.Layer.App) parts =
 
 let charge_traps t ~layer n =
   if n > 0 then begin
-    Sim.Stats.add (Mach.stats t.mach) "regwin.traps" n;
     let d = n * (Mach.config t.mach).Mach.trap_cost in
     Obs.Recorder.charge ~layer ~cause:Obs.Cause.Regwin_trap d;
     Obs.Recorder.count "obs.regwin.traps" n;
@@ -113,7 +103,6 @@ let ret_frames ?(layer = Obs.Layer.App) n =
 
 let syscall ?(kernel_work = 0) ?(layer = Obs.Layer.App) ?charges () =
   let t = self () in
-  Sim.Stats.incr (Mach.stats t.mach) "syscalls";
   let base = (Mach.config t.mach).Mach.syscall_base in
   Obs.Recorder.charge ~layer ~cause:Obs.Cause.Uk_crossing base;
   let itemized =

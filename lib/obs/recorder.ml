@@ -1,7 +1,9 @@
 (* The recorder is a domain-local, optional sink for probes compiled into
    the simulator.  When none is installed every probe is a no-op, so an
    uninstrumented run is bit-identical to the pre-obs simulator: probes never
-   charge simulated time, they only observe it. *)
+   charge simulated time, they only observe it.  A ledger-only recorder
+   (the default) also turns the span probes into no-ops: spans, their track
+   names and their [span.*] series are what a recorder costs per op. *)
 
 type span = {
   sp_track : string;
@@ -13,6 +15,7 @@ type span = {
 }
 
 type t = {
+  keep_spans : bool;
   mutable spans_rev : span list;
   mutable n_spans : int;
   open_stacks : (string, span list) Hashtbl.t;
@@ -22,8 +25,9 @@ type t = {
   mutable last_time : int;
 }
 
-let create () =
+let create ?(spans = false) () =
   {
+    keep_spans = spans;
     spans_rev = [];
     n_spans = 0;
     open_stacks = Hashtbl.create 32;
@@ -75,8 +79,12 @@ let register_track t track =
     t.tracks_rev <- track :: t.tracks_rev
   end
 
+(* The recorder that keeps spans, if the installed one does. *)
+let span_sink () =
+  match active () with Some t as sink when t.keep_spans -> sink | _ -> None
+
 let span_begin ~track ~layer ~name ~now =
-  match active () with
+  match span_sink () with
   | None -> ()
   | Some t ->
     touch t now;
@@ -97,7 +105,7 @@ let span_begin ~track ~layer ~name ~now =
     t.n_spans <- t.n_spans + 1
 
 let span_end ~track ~now =
-  match active () with
+  match span_sink () with
   | None -> ()
   | Some t -> (
     touch t now;
@@ -118,18 +126,18 @@ let fiber_track () =
   | None -> "events"
 
 let enter eng layer name =
-  match active () with
+  match span_sink () with
   | None -> ()
   | Some _ ->
     span_begin ~track:(fiber_track ()) ~layer ~name ~now:(Sim.Engine.now eng)
 
 let leave eng =
-  match active () with
+  match span_sink () with
   | None -> ()
   | Some _ -> span_end ~track:(fiber_track ()) ~now:(Sim.Engine.now eng)
 
 let with_span eng layer name f =
-  match active () with
+  match span_sink () with
   | None -> f ()
   | Some _ ->
     let track = fiber_track () in

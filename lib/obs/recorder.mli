@@ -16,7 +16,12 @@ type span = {
 
 type t
 
-val create : unit -> t
+val create : ?spans:bool -> unit -> t
+(** A recorder always keeps the cost ledger, the counters and the
+    {!observe} series.  With [~spans:true] it also keeps every span, its
+    track and its [span.<layer>.<name>] duration series — what the trace
+    and CSV exporters need, at a host cost per op.  Without it (the
+    default) the span probes are no-ops and {!spans} stays empty. *)
 
 val install : t -> unit
 (** Make [t] the sink for all probes on the calling domain until
@@ -42,7 +47,8 @@ val observe : string -> float -> unit
 val span_begin : track:string -> layer:Layer.t -> name:string -> now:int -> unit
 val span_end : track:string -> now:int -> unit
 (** Explicit span API for non-fiber tracks (e.g. per-CPU job spans).
-    [span_end] closes the innermost open span of [track]. *)
+    [span_end] closes the innermost open span of [track].  No-ops unless
+    the installed recorder keeps spans. *)
 
 (** {1 Fiber-aware helpers} — track is derived from the current fiber. *)
 
@@ -51,7 +57,8 @@ val leave : Sim.Engine.t -> unit
 
 val with_span : Sim.Engine.t -> Layer.t -> string -> (unit -> 'a) -> 'a
 (** [with_span eng layer name f] wraps [f] in a span on the current fiber's
-    track. When no recorder is installed this is exactly [f ()]. *)
+    track. When no recorder that keeps spans is installed this is exactly
+    [f ()]. *)
 
 (** {1 Accessors} *)
 

@@ -83,13 +83,11 @@ let run cfg =
      horizon is that the invariants hold through every fault window. *)
   let shards = Panda.Seq_policy.shards cfg.sk_policy in
   let checker = Faults.Invariants.create ~shards () in
-  let backends = Core.Cluster.backends ~checker ~policy:cfg.sk_policy cluster cfg.sk_impl in
-  (match cfg.sk_faults with
-   | Some { Faults.Spec.seq_crash = Some at; _ } ->
-     ignore
-       (Sim.Engine.at eng at (fun () ->
-            backends.(0).Orca.Backend.crash_sequencer ()))
-   | _ -> ());
+  let backends =
+    Core.Cluster.backends ~checker ~policy:cfg.sk_policy
+      ?seq_crash:(Option.bind cfg.sk_faults (fun f -> f.Faults.Spec.seq_crash))
+      cluster cfg.sk_impl
+  in
   (* Echo server and group sink, as in [Load.Clients.run]. *)
   Array.iter
     (fun b ->

@@ -2,10 +2,14 @@ open Effect.Deep
 
 type state = Ready | Running | Suspended | Dead
 
+type owner = ..
+type owner += Unowned
+
 type t = {
   fid : int;
   fname : string;
   eng : Engine.t;
+  mutable owner : owner;
   mutable state : state;
   mutable killed : bool;
   mutable exit_hooks : (unit -> unit) list;
@@ -20,15 +24,23 @@ type _ Effect.t += Suspend : (t -> (unit -> unit) -> unit) -> unit Effect.t
 (* Both the fiber-id counter and the currently-running fiber are
    domain-local: each Exec.Pool worker domain drives its own engines, and
    sharing either across domains would race.  Ids stay unique within a
-   domain, which is all [Thread]'s fiber-keyed table needs. *)
+   domain, which is all the CPU model's job keys and the trace track names
+   need. *)
 let next_id = Domain.DLS.new_key (fun () -> ref 0)
 let current = Domain.DLS.new_key (fun () : t option ref -> ref None)
 
+(* Runs on every resume: a plain exception match restores the current
+   fiber without [Fun.protect]'s closures. *)
 let with_current fiber f =
   let current = Domain.DLS.get current in
   let saved = !current in
   current := Some fiber;
-  Fun.protect ~finally:(fun () -> current := saved) f
+  match f () with
+  | () -> current := saved
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    current := saved;
+    Printexc.raise_with_backtrace e bt
 
 let self_opt () = !(Domain.DLS.get current)
 
@@ -42,6 +54,8 @@ let name t = t.fname
 let id t = t.fid
 let alive t = t.state <> Dead
 let engine t = t.eng
+let set_owner t o = t.owner <- o
+let current_owner () = match self_opt () with Some f -> f.owner | None -> Unowned
 
 let run_exit_hooks fiber =
   let hooks = fiber.exit_hooks in
@@ -103,6 +117,7 @@ let spawn eng ?(name = "fiber") f =
       fid = !next_id;
       fname = name;
       eng;
+      owner = Unowned;
       state = Ready;
       killed = false;
       exit_hooks = [];

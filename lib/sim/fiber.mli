@@ -59,3 +59,18 @@ val join : t -> unit
     already dead. *)
 
 val engine : t -> Engine.t
+
+(** {1 Owner slot}
+
+    A fiber carries one typed slot for the object that runs on it — a
+    machine thread, say — so that object is found from the running fiber
+    by a field read, and is garbage as soon as the fiber is.  Clients
+    extend {!owner} with their own constructor. *)
+
+type owner = ..
+type owner += Unowned  (** the slot of a fresh fiber *)
+
+val set_owner : t -> owner -> unit
+
+val current_owner : unit -> owner
+(** The running fiber's owner; [Unowned] outside any fiber. *)

@@ -92,6 +92,68 @@ let test_nonblocking_ablation () =
   check_bool "nonblocking send much cheaper for the sender" true
     (nonblocking < blocking /. 2.)
 
+(* The one predicate behind both the library's and the CLIs' rejection of
+   a stack x sequencer policy x seqcrash combination: it must match the
+   documented support grid, and [Cluster.backends] must agree with it —
+   rejecting exactly what it rejects, before anything runs, and surviving
+   the scheduled crash in every combination it accepts. *)
+let test_sequencer_support_grid () =
+  List.iter
+    (fun impl ->
+      List.iter
+        (fun policy ->
+          List.iter
+            (fun seq_crash ->
+              let label =
+                Printf.sprintf "%s %s%s" (Core.Cluster.impl_label impl)
+                  (Panda.Seq_policy.to_string policy)
+                  (if seq_crash then " seqcrash" else "")
+              in
+              let expected =
+                match (impl, policy) with
+                | Core.Cluster.Kernel, (Panda.Seq_policy.Single | Panda.Seq_policy.Batching _) ->
+                  not seq_crash
+                | Core.Cluster.Kernel, _ -> false
+                | _, Panda.Seq_policy.Single -> not seq_crash
+                | _ -> true
+              in
+              check_bool label expected
+                (Result.is_ok (Core.Cluster.sequencer_support ~seq_crash impl policy));
+              let cluster =
+                Core.Cluster.create ~extra_machine:(impl = Core.Cluster.User_dedicated) ~n:4 ()
+              in
+              let seq_crash = if seq_crash then Some (Sim.Time.ms 1) else None in
+              match Core.Cluster.backends ~policy ?seq_crash cluster impl with
+              | exception Invalid_argument _ -> check_bool (label ^ " built") expected false
+              | _ ->
+                check_bool (label ^ " built") expected true;
+                Sim.Engine.run cluster.Core.Cluster.eng)
+            [ false; true ])
+        Panda.Seq_policy.sweep)
+    Core.Cluster.all_impls
+
+(* Finished simulations must leave nothing reachable behind: after one
+   warm-up cell, eight more 8-node load cells may grow the compacted live
+   heap by less than 4 KB each. *)
+let test_finished_cells_are_collected () =
+  let cell () =
+    ignore
+      (Core.Experiments.load_cell ~nodes:8 ~impl:Core.Cluster.User
+         { Load.Clients.default with Load.Clients.window = Sim.Time.ms 200 }
+         ())
+  in
+  let live_bytes () =
+    Gc.compact ();
+    (Gc.stat ()).Gc.live_words * (Sys.word_size / 8)
+  in
+  cell ();
+  let before = live_bytes () in
+  for _ = 1 to 8 do
+    cell ()
+  done;
+  let per_cell = (live_bytes () - before) / 8 in
+  check_bool (Printf.sprintf "retained %d B per cell < 4096" per_cell) true (per_cell < 4096)
+
 let () =
   Alcotest.run "core"
     [
@@ -108,5 +170,8 @@ let () =
           Alcotest.test_case "shapes" `Quick test_cluster_shapes;
           Alcotest.test_case "runner validates" `Quick test_runner_validates_checksum;
           Alcotest.test_case "dedicated workers" `Quick test_dedicated_sequencer_worker_count;
+          Alcotest.test_case "sequencer support grid" `Quick test_sequencer_support_grid;
         ] );
+      ( "memory",
+        [ Alcotest.test_case "finished cells are collected" `Quick test_finished_cells_are_collected ] );
     ]

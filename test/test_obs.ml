@@ -88,6 +88,45 @@ let test_percentiles () =
   check_bool "clamped to observed range" true (p 0. >= 1. && p 100. <= 1000.);
   check_bool "empty series is 0" true (Sim.Stats.percentile s "nope" 50. = 0.)
 
+(* ---------- ledger-only recorders ---------- *)
+
+(* One null-RPC load run on two machines with [recorder] over its window. *)
+let null_rpc_run recorder =
+  let cluster = Core.Cluster.create ~n:2 () in
+  Load.Clients.run
+    { Load.Clients.default with Load.Clients.window = Sim.Time.ms 200 }
+    ~eng:cluster.Core.Cluster.eng
+    ~backends:(Core.Cluster.backends cluster Core.Cluster.User)
+    ~machines:cluster.Core.Cluster.machines ~recorder ()
+
+(* Spans are the only thing a ledger-only recorder drops: the ledger, the
+   counters and the simulated run itself match a span-keeping recording
+   of the same run. *)
+let test_ledger_only_recorder () =
+  let lean = Obs.Recorder.create () and full = Obs.Recorder.create ~spans:true () in
+  let m_lean = null_rpc_run lean and m_full = null_rpc_run full in
+  check_int "ledger-only recorder keeps no spans" 0 (Obs.Recorder.n_spans lean);
+  check_bool "span recorder keeps spans" true (Obs.Recorder.n_spans full > 0);
+  List.iter
+    (fun layer ->
+      List.iter
+        (fun cause ->
+          check_int
+            (Printf.sprintf "ledger %s/%s" (Obs.Layer.to_string layer)
+               (Obs.Cause.to_string cause))
+            (Obs.Recorder.ledger_ns full ~layer ~cause)
+            (Obs.Recorder.ledger_ns lean ~layer ~cause))
+        Obs.Cause.all)
+    Obs.Layer.all;
+  let header_rx r = Sim.Stats.counter (Obs.Recorder.stats r) "obs.nic.header_rx_ns" in
+  check_bool "header correction counted" true (header_rx full > 0);
+  check_int "obs.nic.header_rx_ns" (header_rx full) (header_rx lean);
+  check_bool "requests completed" true (m_lean.Load.Metrics.completed > 0);
+  check_int "completed" m_full.Load.Metrics.completed m_lean.Load.Metrics.completed;
+  Alcotest.(check (float 0.)) "p50" m_full.Load.Metrics.p50_ms m_lean.Load.Metrics.p50_ms;
+  Alcotest.(check (float 0.)) "mean" m_full.Load.Metrics.mean_ms m_lean.Load.Metrics.mean_ms;
+  Alcotest.(check (float 0.)) "max" m_full.Load.Metrics.max_ms m_lean.Load.Metrics.max_ms
+
 (* ---------- export determinism ---------- *)
 
 let test_export_determinism () =
@@ -175,6 +214,7 @@ let () =
           Alcotest.test_case "accounts for CPU time" `Quick
             test_ledger_accounts_for_cpu_time;
           Alcotest.test_case "composition" `Quick test_ledger_composition;
+          Alcotest.test_case "ledger-only recorder" `Quick test_ledger_only_recorder;
         ] );
       ( "stats",
         [ Alcotest.test_case "percentiles" `Quick test_percentiles ] );
