@@ -1,5 +1,6 @@
 module Thread = Machine.Thread
 module Mach = Machine.Mach
+module Id_tbl = Flip.Address.Id_tbl
 
 type config = {
   header_bytes : int;
@@ -46,7 +47,7 @@ type t = {
   cfg : config;
   client_addr : Flip.Address.t;
   reasm : Flip.Reassembly.t;
-  pending : (int, pending) Hashtbl.t;
+  pending : pending Id_tbl.t;  (* by trans_id *)
   mutable next_trans : int;
   mutable n_trans : int;
   mutable n_retrans : int;
@@ -67,8 +68,8 @@ type port = {
   reasm_srv : Flip.Reassembly.t;
   queue : request Queue.t;
   waiters : (unit -> unit) Queue.t;
-  states : (Flip.Address.t * int, req_state) Hashtbl.t;
-  state_order : (Flip.Address.t * int) Queue.t; (* insertion order, for bounding *)
+  states : req_state Id_tbl.t;  (* by [Address.pair_key client trans_id] *)
+  state_order : int Queue.t; (* insertion order, for bounding *)
 }
 
 and request = {
@@ -141,7 +142,7 @@ let client_input t frag =
   match Flip.Reassembly.add t.reasm frag with
   | Some (_, _, Reply { trans_id; size; user }) -> (
       (* Acknowledge every reply copy: the server retransmits until acked. *)
-      (match Hashtbl.find_opt t.pending trans_id with
+      (match Id_tbl.find_opt t.pending trans_id with
        | Some p ->
          Flip.Flip_iface.unicast t.flip ~src:t.client_addr ~dst:p.p_dst
            ~size:(wire_size t 0)
@@ -168,7 +169,7 @@ let create ?(config = default_config) flip =
       cfg = config;
       client_addr;
       reasm = Flip.Reassembly.create ();
-      pending = Hashtbl.create 16;
+      pending = Id_tbl.create 16;
       next_trans = 0;
       n_trans = 0;
       n_retrans = 0;
@@ -199,7 +200,7 @@ let trans t ~dst ~size payload =
       p_tries = 0;
     }
   in
-  Hashtbl.add t.pending p.p_id p;
+  Id_tbl.add t.pending p.p_id p;
   (* The kernel hands fragments to the NIC as it copies them, so the
      transmission overlaps the system call's copy work. *)
   send_request t p;
@@ -214,7 +215,7 @@ let trans t ~dst ~size payload =
   (* The reply may already have arrived while the send syscall ran. *)
   if p.p_reply = None && not p.p_failed then
     Thread.suspend (fun _ resume -> p.p_resume <- Some resume);
-  Hashtbl.remove t.pending p.p_id;
+  Id_tbl.remove t.pending p.p_id;
   match p.p_reply with
   | Some (rsize, ruser) ->
     (* Copy the reply up to user space and return down the (shallow)
@@ -235,8 +236,7 @@ let max_reply_cache = 4096
 
 let bound_states port =
   while Queue.length port.state_order > max_reply_cache do
-    let key = Queue.pop port.state_order in
-    Hashtbl.remove port.states key
+    Id_tbl.remove port.states (Queue.pop port.state_order)
   done
 
 let send_reply_from_kernel port ~client ~trans_id ~size ~user ~msg_id =
@@ -256,8 +256,8 @@ let enqueue_request port r =
 let server_input port frag =
   match Flip.Reassembly.add port.reasm_srv frag with
   | Some (_, _, Request { client; trans_id; size; user }) -> (
-      let key = (client, trans_id) in
-      match Hashtbl.find_opt port.states key with
+      let key = Flip.Address.pair_key client trans_id in
+      match Id_tbl.find_opt port.states key with
       | Some Processing -> () (* duplicate of a request being served *)
       | Some Acked -> () (* stale duplicate of a completed transaction *)
       | Some (Replied { rp_size; rp_user; rp_msg_id }) ->
@@ -266,15 +266,15 @@ let server_input port frag =
         send_reply_from_kernel port ~client ~trans_id ~size:rp_size ~user:rp_user
           ~msg_id:rp_msg_id
       | None ->
-        Hashtbl.replace port.states key Processing;
+        Id_tbl.replace port.states key Processing;
         Queue.push key port.state_order;
         bound_states port;
         enqueue_request port
           { r_port = port; r_client = client; r_trans = trans_id; r_size = size;
             r_user = user; r_thread = None })
   | Some (_, _, Ack { client; trans_id }) ->
-    let key = (client, trans_id) in
-    if Hashtbl.mem port.states key then Hashtbl.replace port.states key Acked
+    let key = Flip.Address.pair_key client trans_id in
+    if Id_tbl.mem port.states key then Id_tbl.replace port.states key Acked
   | Some _ | None -> ()
 
 let export t ~name =
@@ -287,7 +287,7 @@ let export t ~name =
       reasm_srv = Flip.Reassembly.create ();
       queue = Queue.create ();
       waiters = Queue.create ();
-      states = Hashtbl.create 64;
+      states = Id_tbl.create 64;
       state_order = Queue.create ();
     }
   in
@@ -325,7 +325,7 @@ let put_reply port r ~size payload =
    | Some _ | None ->
      invalid_arg "Rpc.put_reply: reply must be sent by the get_request thread");
   let msg_id = Flip.Flip_iface.alloc_msg_id t.flip in
-  Hashtbl.replace port.states (r.r_client, r.r_trans)
+  Id_tbl.replace port.states (Flip.Address.pair_key r.r_client r.r_trans)
     (Replied { rp_size = size; rp_user = payload; rp_msg_id = msg_id });
   (* As in trans: the reply's transmission overlaps the copy work. *)
   send_reply_from_kernel port ~client:r.r_client ~trans_id:r.r_trans ~size ~user:payload

@@ -24,4 +24,23 @@ val is_group : t -> bool
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int
+
+(** {1 Tables}
+
+    The per-packet tables of FLIP and the RPC protocols are monomorphic:
+    their keys hash and compare without the polymorphic C primitives, and
+    a table keyed by {!pair_key} holds no boxed tuple keys. *)
+
+module Tbl : Hashtbl.S with type key = t
+(** Tables keyed by an address. *)
+
+val pair_key : t -> int -> int
+(** [pair_key addr id] is an injective int encoding of [(addr, id)], for
+    per-message state keyed by sender and message or transaction id.
+    @raise Invalid_argument when [id] is negative or needs more than 32
+    bits, or the address's number is negative or needs more than 29. *)
+
+module Id_tbl : Hashtbl.S with type key = int
+(** Tables keyed by a {!pair_key} or by a plain id. *)
+
 val pp : Format.formatter -> t -> unit

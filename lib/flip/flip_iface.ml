@@ -28,9 +28,9 @@ type t = {
   mach : Machine.Mach.t;
   cfg : config;
   nic : Net.Nic.t;
-  registry : (Address.t, Fragment.t -> unit) Hashtbl.t;
-  routes : (Address.t, int) Hashtbl.t;
-  pendings : (Address.t, pending) Hashtbl.t;
+  registry : (Fragment.t -> unit) Address.Tbl.t;
+  routes : int Address.Tbl.t;
+  pendings : pending Address.Tbl.t;
   mutable next_msg_id : int;
   mutable locates : int;
   mutable n_in : int;
@@ -44,7 +44,7 @@ type Sim.Payload.t +=
 
 let machine t = t.mach
 let config t = t.cfg
-let registered t addr = Hashtbl.mem t.registry addr
+let registered t addr = Address.Tbl.mem t.registry addr
 
 let eng t = Machine.Mach.engine t.mach
 let mac t = Net.Nic.mac t.nic
@@ -58,7 +58,7 @@ let loopback t frag =
   Machine.Mach.interrupt t.mach ~layer:Obs.Layer.Flip ~name:"flip.loopback"
     ~cost:t.cfg.loopback_cost
     (fun () ->
-      match Hashtbl.find_opt t.registry frag.Fragment.dst with
+      match Address.Tbl.find_opt t.registry frag.Fragment.dst with
       | Some handler -> handler frag
       | None -> ())
 
@@ -78,13 +78,13 @@ let send_control t ~dest payload =
        ~src:(mac t) ~dest ~bytes:t.cfg.header_bytes payload)
 
 let rec locate t dst =
-  match Hashtbl.find_opt t.pendings dst with
+  match Address.Tbl.find_opt t.pendings dst with
   | None -> ()
   | Some p ->
     if p.attempts >= t.cfg.locate_retries then begin
       (* Undeliverable: FLIP is unreliable, so drop silently (upper layers
          retransmit and re-locate). *)
-      Hashtbl.remove t.pendings dst
+      Address.Tbl.remove t.pendings dst
     end
     else begin
       p.attempts <- p.attempts + 1;
@@ -97,17 +97,17 @@ let rec locate t dst =
 
 let route_fragment t ?upper frag =
   let dst = frag.Fragment.dst in
-  if Hashtbl.mem t.registry dst then loopback t frag
+  if Address.Tbl.mem t.registry dst then loopback t frag
   else
-    match Hashtbl.find_opt t.routes dst with
+    match Address.Tbl.find_opt t.routes dst with
     | Some station ->
       transmit_fragment t ~dest:(Net.Frame.Unicast station) ?upper frag
     | None -> (
-        match Hashtbl.find_opt t.pendings dst with
+        match Address.Tbl.find_opt t.pendings dst with
         | Some p -> p.queued <- (frag, upper) :: p.queued
         | None ->
           let p = { queued = [ (frag, upper) ]; attempts = 0; timer = None } in
-          Hashtbl.add t.pendings dst p;
+          Address.Tbl.add t.pendings dst p;
           locate t dst)
 
 let alloc_msg_id t =
@@ -140,15 +140,15 @@ let multicast ?msg_id ?hdr t ~src ~group ~size payload =
     (fun frag ->
       transmit_fragment t ~dest:Net.Frame.Multicast
         ?upper:(upper_for hdr frag) frag;
-      if Hashtbl.mem t.registry group then loopback t frag)
+      if Address.Tbl.mem t.registry group then loopback t frag)
     frags
 
 let flush_pending t dst station =
-  match Hashtbl.find_opt t.pendings dst with
+  match Address.Tbl.find_opt t.pendings dst with
   | None -> ()
   | Some p ->
     (match p.timer with Some h -> Sim.Engine.cancel (eng t) h | None -> ());
-    Hashtbl.remove t.pendings dst;
+    Address.Tbl.remove t.pendings dst;
     List.iter
       (fun (frag, upper) ->
         transmit_fragment t ~dest:(Net.Frame.Unicast station) ?upper frag)
@@ -159,14 +159,14 @@ let input t (frame : Net.Frame.t) =
   match frame.Net.Frame.payload with
   | Data frag -> (
       t.n_in <- t.n_in + 1;
-      match Hashtbl.find_opt t.registry frag.Fragment.dst with
+      match Address.Tbl.find_opt t.registry frag.Fragment.dst with
       | Some handler -> handler frag
       | None -> () (* not for us (unregistered group, stale route) *))
   | Locate_req addr ->
-    if Hashtbl.mem t.registry addr && not (Address.is_group addr) then
+    if Address.Tbl.mem t.registry addr && not (Address.is_group addr) then
       send_control t ~dest:(Net.Frame.Unicast frame.Net.Frame.src) (Locate_rsp (addr, mac t))
   | Locate_rsp (addr, station) ->
-    Hashtbl.replace t.routes addr station;
+    Address.Tbl.replace t.routes addr station;
     flush_pending t addr station
   | _ -> ()
 
@@ -176,9 +176,9 @@ let create mach ?(config = default_config) nic =
       mach;
       cfg = config;
       nic;
-      registry = Hashtbl.create 16;
-      routes = Hashtbl.create 16;
-      pendings = Hashtbl.create 8;
+      registry = Address.Tbl.create 16;
+      routes = Address.Tbl.create 16;
+      pendings = Address.Tbl.create 8;
       next_msg_id = 0;
       locates = 0;
       n_in = 0;
@@ -189,12 +189,12 @@ let create mach ?(config = default_config) nic =
   t
 
 let register t addr handler =
-  if Hashtbl.mem t.registry addr then
+  if Address.Tbl.mem t.registry addr then
     invalid_arg "Flip_iface.register: address already bound";
-  Hashtbl.replace t.registry addr handler
+  Address.Tbl.replace t.registry addr handler
 
-let unregister t addr = Hashtbl.remove t.registry addr
-let add_route t addr station = Hashtbl.replace t.routes addr station
+let unregister t addr = Address.Tbl.remove t.registry addr
+let add_route t addr station = Address.Tbl.replace t.routes addr station
 let locates_sent t = t.locates
 let packets_in t = t.n_in
 let packets_out t = t.n_out

@@ -18,7 +18,7 @@ type running = {
   job : job;
   started : Sim.Time.t;
   switch : Sim.Time.span;
-  mutable handle : Sim.Engine.handle option;
+  handle : Sim.Engine.handle;  (* the completion event *)
 }
 
 type t = {
@@ -28,6 +28,11 @@ type t = {
   mutable current : running option;
   (* One FIFO per priority level; level 0 = interrupts. *)
   ready : job Queue.t array;
+  (* Per level, a job preempted mid-run, which resumes before the level's
+     FIFO.  At most one waits per level: a level's jobs start either from
+     [dispatch], which takes this slot first, or by preempting a job of a
+     higher level, which cannot be running while this slot is full. *)
+  front : job option array;
   mutable last : int;
   mutable busy_ns : Sim.Time.span;
   mutable busy_intr_ns : Sim.Time.span;
@@ -41,7 +46,7 @@ let n_prios = 3
 let interrupt_key = -1
 let idle_key = -2
 
-let busy t = t.current <> None
+let busy t = Option.is_some t.current
 let last_key t = t.last
 let busy_time t = t.busy_ns
 let busy_interrupt_time t = t.busy_intr_ns
@@ -55,6 +60,7 @@ let accrue t running now =
 
 let queue_length t =
   Array.fold_left (fun acc q -> acc + Queue.length q) 0 t.ready
+  + Array.fold_left (fun acc j -> if Option.is_some j then acc + 1 else acc) 0 t.front
 
 let switch_cost t ~preempting job =
   if job.key = interrupt_key then 0
@@ -76,12 +82,12 @@ let rec start t ~preempting job =
      the semantic submitter, so ledger CPU totals match [busy_time]. *)
   Obs.Recorder.charge ~layer:job.layer ~cause:Obs.Cause.Ctx_switch switch;
   let now = Sim.Engine.now t.eng in
-  Obs.Recorder.span_begin ~track:t.track ~layer:job.layer ~name:job.label ~now;
-  let total = switch + job.remaining in
-  let running = { job; started = now; switch; handle = None } in
-  let handle = Sim.Engine.after t.eng total t.on_tick in
-  running.handle <- Some handle;
-  t.current <- Some running
+  if Obs.Recorder.keeps_spans () then begin
+    let name = if job.key = interrupt_key then "irq:" ^ job.label else job.label in
+    Obs.Recorder.span_begin ~track:t.track ~layer:job.layer ~name ~now
+  end;
+  let handle = Sim.Engine.after t.eng (switch + job.remaining) t.on_tick in
+  t.current <- Some { job; started = now; switch; handle }
 
 and complete t running =
   let now = Sim.Engine.now t.eng in
@@ -91,16 +97,18 @@ and complete t running =
   running.job.on_complete ();
   dispatch t
 
-and dispatch t =
-  if t.current = None then
-    let rec pick i =
-      if i >= n_prios then ()
-      else
-        match Queue.take_opt t.ready.(i) with
-        | Some job -> start t ~preempting:false job
-        | None -> pick (i + 1)
-    in
-    pick 0
+and dispatch t = if Option.is_none t.current then pick t 0
+
+and pick t i =
+  if i < n_prios then
+    match t.front.(i) with
+    | Some job ->
+      t.front.(i) <- None;
+      start t ~preempting:false job
+    | None -> (
+      match Queue.take_opt t.ready.(i) with
+      | Some job -> start t ~preempting:false job
+      | None -> pick t (i + 1))
 
 let create ?(name = "cpu") eng costs =
   let t =
@@ -110,6 +118,7 @@ let create ?(name = "cpu") eng costs =
       track = "cpu:" ^ name;
       current = None;
       ready = Array.init n_prios (fun _ -> Queue.create ());
+      front = Array.make n_prios None;
       last = idle_key;
       busy_ns = 0;
       busy_intr_ns = 0;
@@ -124,9 +133,7 @@ let create ?(name = "cpu") eng costs =
 
 let preempt t running =
   let now = Sim.Engine.now t.eng in
-  (match running.handle with
-   | Some h -> Sim.Engine.cancel t.eng h
-   | None -> assert false);
+  Sim.Engine.cancel t.eng running.handle;
   accrue t running now;
   Obs.Recorder.span_end ~track:t.track ~now;
   (* The switch cost was charged in full at switch-in, but a preemption
@@ -140,13 +147,10 @@ let preempt t running =
   let elapsed_work = max 0 (now - running.started - running.switch) in
   running.job.remaining <- max 0 (running.job.remaining - elapsed_work);
   t.current <- None;
-  (* Put it at the front of its own priority class so it resumes before
-     later arrivals of the same priority. *)
-  let q = t.ready.(running.job.prio) in
-  let rest = Queue.copy q in
-  Queue.clear q;
-  Queue.push running.job q;
-  Queue.transfer rest q
+  (* It resumes before later arrivals of the same priority. *)
+  let prio = running.job.prio in
+  assert (Option.is_none t.front.(prio));
+  t.front.(prio) <- Some running.job
 
 let submit ?(needs_switch = true) ?(label = "job") ?(layer = Obs.Layer.App) t
     ~key ~prio ~cost on_complete =

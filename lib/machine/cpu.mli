@@ -43,7 +43,9 @@ val submit :
     for back-to-back work by a thread that never blocked.
 
     [label]/[layer] name the job's span on the CPU track and attribute any
-    context-switch cost it incurs; they do not affect timing. *)
+    context-switch cost it incurs; they do not affect timing.  An
+    [interrupt_key] job's span is named ["irq:<label>"], built only when a
+    recorder keeps the span. *)
 
 val busy : t -> bool
 

@@ -49,7 +49,7 @@ let interrupt ?(layer = Obs.Layer.App) ?charges t ~name ~cost handler =
         0 parts
   in
   Obs.Recorder.charge ~layer ~cause:Obs.Cause.Proto_proc (cost - itemized);
-  Cpu.submit t.cpu ~key:Cpu.interrupt_key ~prio:0 ~label:("irq:" ^ name) ~layer
+  Cpu.submit t.cpu ~key:Cpu.interrupt_key ~prio:0 ~label:name ~layer
     ~cost:(t.config.interrupt_entry + cost)
     handler
 

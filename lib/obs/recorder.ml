@@ -52,16 +52,15 @@ let uninstall () = Domain.DLS.get current_key := None
 let touch t now = if now > t.last_time then t.last_time <- now
 
 let charge ~layer ~cause ns =
-  match active () with
-  | None -> ()
-  | Some t ->
-    (* Negative amounts are refunds (e.g. a context switch abandoned by a
-       preemption): they keep the ledger equal to CPU busy time. *)
-    if ns <> 0 then begin
+  (* Negative amounts are refunds (e.g. a context switch abandoned by a
+     preemption): they keep the ledger equal to CPU busy time. *)
+  if ns <> 0 then
+    match active () with
+    | None -> ()
+    | Some t ->
       let row = t.ledger.(Layer.index layer) in
       let j = Cause.index cause in
       row.(j) <- row.(j) + ns
-    end
 
 let count name n =
   match active () with
@@ -82,6 +81,8 @@ let register_track t track =
 (* The recorder that keeps spans, if the installed one does. *)
 let span_sink () =
   match active () with Some t as sink when t.keep_spans -> sink | _ -> None
+
+let keeps_spans () = match span_sink () with Some _ -> true | None -> false
 
 let span_begin ~track ~layer ~name ~now =
   match span_sink () with

@@ -31,6 +31,10 @@ val install : t -> unit
 val uninstall : unit -> unit
 val active : unit -> t option
 
+val keeps_spans : unit -> bool
+(** The installed recorder keeps spans: a probe that must build a span's
+    name asks this first. *)
+
 (** {1 Probes} — called from instrumented simulator code. All are no-ops when
     no recorder is installed. *)
 

@@ -1,4 +1,5 @@
 module Thread = Machine.Thread
+module Id_tbl = Flip.Address.Id_tbl
 
 type config = {
   header_bytes : int;
@@ -69,10 +70,10 @@ type handler_fn =
 type t = {
   sys : System_layer.t;
   cfg : config;
-  pending : (int, pending) Hashtbl.t;
-  acks : (Flip.Address.t, ack_slot) Hashtbl.t;
-  states : (Flip.Address.t * int, req_state) Hashtbl.t;
-  state_order : (Flip.Address.t * int) Queue.t;
+  pending : pending Id_tbl.t;  (* by trans_id *)
+  acks : ack_slot Flip.Address.Tbl.t;  (* by server *)
+  states : req_state Id_tbl.t;  (* by [Address.pair_key client trans_id] *)
+  state_order : int Queue.t;
   mutable handler : handler_fn option;
   mutable next_trans : int;
   mutable n_trans : int;
@@ -95,26 +96,26 @@ let max_state_cache = 4096
 
 let bound_states t =
   while Queue.length t.state_order > max_state_cache do
-    Hashtbl.remove t.states (Queue.pop t.state_order)
+    Id_tbl.remove t.states (Queue.pop t.state_order)
   done
 
 let note_acked t client trans_id =
-  let key = (client, trans_id) in
-  if Hashtbl.mem t.states key then Hashtbl.replace t.states key Acked
+  let key = Flip.Address.pair_key client trans_id in
+  if Id_tbl.mem t.states key then Id_tbl.replace t.states key Acked
 
 (* --- reply acknowledgement bookkeeping (client side) --- *)
 
 let ack_slot t dst =
-  match Hashtbl.find_opt t.acks dst with
+  match Flip.Address.Tbl.find_opt t.acks dst with
   | Some s -> s
   | None ->
     let s = { due = []; ack_timer = None } in
-    Hashtbl.add t.acks dst s;
+    Flip.Address.Tbl.add t.acks dst s;
     s
 
 (* Steal pending acks to piggyback on an outgoing request. *)
 let take_acks t dst =
-  match Hashtbl.find_opt t.acks dst with
+  match Flip.Address.Tbl.find_opt t.acks dst with
   | None -> []
   | Some s ->
     let due = s.due in
@@ -194,7 +195,7 @@ let trans t ~dst ~size payload =
       p_tries = 0;
     }
   in
-  Hashtbl.add t.pending p.p_id p;
+  Id_tbl.add t.pending p.p_id p;
   let acks = take_acks t dst in
   send_request t p ~acks;
   arm_retrans t p;
@@ -202,7 +203,7 @@ let trans t ~dst ~size payload =
     Thread.suspend (fun th resume ->
         p.p_thread <- Some th;
         p.p_resume <- Some resume);
-  Hashtbl.remove t.pending p.p_id;
+  Id_tbl.remove t.pending p.p_id;
   (match p.p_timer with Some h -> Sim.Engine.cancel (eng t) h | None -> ());
   match p.p_reply with
   | Some (rsize, ruser) ->
@@ -219,7 +220,7 @@ let trans t ~dst ~size payload =
 
 let pan_rpc_reply t ~client ~trans_id ~size payload =
   let rp_tag = System_layer.alloc_tag t.sys in
-  Hashtbl.replace t.states (client, trans_id)
+  Id_tbl.replace t.states (Flip.Address.pair_key client trans_id)
     (Replied { rp_size = size; rp_user = payload; rp_tag });
   System_layer.send ~tag:rp_tag ~hdr:(rpc_hdr t) t.sys ~dst:client
     ~size:(msg_size t size)
@@ -231,7 +232,8 @@ let on_message t ~src ~size:_ payload =
   | Preq { client; trans_id; acks; size; user } ->
     Thread.compute ~layer:Obs.Layer.Panda_rpc t.cfg.proc_cost;
     List.iter (fun id -> note_acked t client id) acks;
-    (match Hashtbl.find_opt t.states (client, trans_id) with
+    let key = Flip.Address.pair_key client trans_id in
+    (match Id_tbl.find_opt t.states key with
      | Some Processing -> () (* duplicate while the handler runs *)
      | Some Acked -> () (* stale duplicate of a completed transaction *)
      | Some (Replied { rp_size; rp_user; rp_tag }) ->
@@ -244,8 +246,8 @@ let on_message t ~src ~size:_ payload =
          match t.handler with
          | None -> ()
          | Some handler ->
-           Hashtbl.replace t.states (client, trans_id) Processing;
-           Queue.push (client, trans_id) t.state_order;
+           Id_tbl.replace t.states key Processing;
+           Queue.push key t.state_order;
            bound_states t;
            Obs.Recorder.with_span (eng t) Obs.Layer.Panda_rpc "serve"
              (fun () ->
@@ -255,7 +257,7 @@ let on_message t ~src ~size:_ payload =
     true
   | Prep { trans_id; size; user } ->
     Thread.compute ~layer:Obs.Layer.Panda_rpc t.cfg.proc_cost;
-    (match Hashtbl.find_opt t.pending trans_id with
+    (match Id_tbl.find_opt t.pending trans_id with
      | Some p when p.p_reply = None ->
        (match p.p_timer with Some h -> Sim.Engine.cancel (eng t) h | None -> ());
        p.p_reply <- Some (size, user);
@@ -282,9 +284,9 @@ let create ?(config = default_config) sys =
     {
       sys;
       cfg = config;
-      pending = Hashtbl.create 16;
-      acks = Hashtbl.create 8;
-      states = Hashtbl.create 64;
+      pending = Id_tbl.create 16;
+      acks = Flip.Address.Tbl.create 8;
+      states = Id_tbl.create 64;
       state_order = Queue.create ();
       handler = None;
       next_trans = 0;

@@ -143,7 +143,8 @@ let push_lane t lane time f =
   (lane.l_id lsl lane_shift) lor payload
 
 let at t time f =
-  assert (time >= t.cur.l_clock);
+  (* [max_int] is the schedulers' "nothing pending" time. *)
+  assert (time >= t.cur.l_clock && time < max_int);
   push_lane t t.cur time f
 
 let after t d f = at t (t.cur.l_clock + d) f
@@ -162,12 +163,13 @@ let cancel t h =
     else Heap.cancel lane.l_heap payload
   end
 
-(* Earliest pending event time in [lane], draining due wheel buckets into
-   the heap first so the heap top is authoritative. *)
+(* Earliest pending event time in [lane], or [max_int] when none, draining
+   due wheel buckets into the heap first so the heap top is authoritative.
+   It leaves the heap's root live, so [exec_next] pops without a search. *)
 let rec lane_next_time lane =
-  let hp = Heap.peek_time lane.l_heap in
-  match Wheel.next_boundary lane.l_wheel with
-  | Some b when (match hp with None -> true | Some ht -> b <= ht) ->
+  let ht = Heap.next_time lane.l_heap in
+  let b = Wheel.next_boundary lane.l_wheel in
+  if b < max_int && b <= ht then begin
     Wheel.advance lane.l_wheel ~upto:b ~emit:(fun ~time ~seq ~handle f ->
         (* The wrapper reclaims the forwarding slot when the migrated
            event fires, so stale wheel handles can never resurrect it. *)
@@ -176,11 +178,12 @@ let rec lane_next_time lane =
              f ())
           :> int));
     lane_next_time lane
-  | _ -> hp
+  end
+  else ht
 
-let exec_next t lane =
-  let time = Heap.min_time_exn lane.l_heap in
-  let f = Heap.pop_min_exn lane.l_heap in
+(* Run the event [lane_next_time] just found at [time]. *)
+let exec_next t lane time =
+  let f = Heap.pop_next lane.l_heap in
   lane.l_clock <- time;
   t.clock <- time;
   lane.l_exec <- lane.l_exec + 1;
@@ -190,11 +193,12 @@ let step t =
   if Array.length t.lanes > 1 then
     invalid_arg "Sim.Engine.step: laned engine (use run)";
   let lane = t.lanes.(0) in
-  match lane_next_time lane with
-  | None -> false
-  | Some _ ->
-    exec_next t lane;
+  let time = lane_next_time lane in
+  if time = max_int then false
+  else begin
+    exec_next t lane time;
     true
+  end
 
 let flush_executed t =
   let e = executed t in
@@ -214,22 +218,22 @@ let flush_executed t =
 
 let run_seq ?until t =
   let lane = t.lanes.(0) in
-  let continue () =
-    if t.stopped then false
-    else
-      match lane_next_time lane with
-      | None -> false
-      | Some time -> (
-        match until with Some limit -> time <= limit | None -> true)
+  let limit = match until with Some limit -> limit | None -> max_int in
+  let rec loop () =
+    if not t.stopped then begin
+      let time = lane_next_time lane in
+      if time < max_int && time <= limit then begin
+        exec_next t lane time;
+        loop ()
+      end
+    end
   in
-  while continue () do
-    exec_next t lane
-  done;
+  loop ();
   match until with
   | Some limit
     when (not t.stopped)
          && lane.l_clock < limit
-         && lane_next_time lane <> None ->
+         && lane_next_time lane < max_int ->
     lane.l_clock <- limit;
     t.clock <- limit
   | _ -> ()
@@ -268,16 +272,17 @@ let merge_channels t =
 let run_lane_window t lane ~horizon =
   t.cur <- lane;
   t.clock <- lane.l_clock;
-  let continue () =
-    (not t.stopped)
-    &&
-    match lane_next_time lane with
-    | Some time -> time < horizon
-    | None -> false
+  let rec loop () =
+    if not t.stopped then begin
+      (* [max_int] (nothing pending) is never below a horizon. *)
+      let time = lane_next_time lane in
+      if time < horizon then begin
+        exec_next t lane time;
+        loop ()
+      end
+    end
   in
-  while continue () do
-    exec_next t lane
-  done
+  loop ()
 
 let run_laned ?until t =
   (* A [stop] can leave sends buffered mid-window; fold them in first. *)
@@ -287,9 +292,8 @@ let run_laned ?until t =
       let tmin = ref max_int in
       Array.iter
         (fun lane ->
-          match lane_next_time lane with
-          | Some time when time < !tmin -> tmin := time
-          | _ -> ())
+          let time = lane_next_time lane in
+          if time < !tmin then tmin := time)
         t.lanes;
       if
         !tmin <> max_int
@@ -314,7 +318,7 @@ let run_laned ?until t =
     (* Mirror the sequential clamp: park every idle lane at the limit. *)
     let remaining = ref false in
     Array.iter
-      (fun lane -> if lane_next_time lane <> None then remaining := true)
+      (fun lane -> if lane_next_time lane < max_int then remaining := true)
       t.lanes;
     if !remaining then begin
       Array.iter

@@ -165,19 +165,18 @@ let is_empty t =
   prune t;
   t.len = 0
 
-let min_time_exn t =
-  prune t;
-  if t.len = 0 then raise Empty;
-  t.times.(t.heap.(0))
-
-let pop_min_exn t =
-  prune t;
-  if t.len = 0 then raise Empty;
+(* Pop the root, which the caller has just pruned to a live entry. *)
+let pop_next t =
   let s = pop_top t in
   t.live <- t.live - 1;
   let v = t.values.(s) in
   free_slot t s;
   v
+
+let pop_min_exn t =
+  prune t;
+  if t.len = 0 then raise Empty;
+  pop_next t
 
 let pop t =
   prune t;
@@ -187,9 +186,9 @@ let pop t =
     Some (time, pop_min_exn t)
   end
 
-let peek_time t =
+let next_time t =
   prune t;
-  if t.len = 0 then None else Some t.times.(t.heap.(0))
+  if t.len = 0 then max_int else t.times.(t.heap.(0))
 
 (* Drop every dead entry and rebuild the heap bottom-up (Floyd, O(n)). *)
 let compact t =

@@ -5,7 +5,7 @@
     insertion order (FIFO), which keeps the simulation deterministic.
 
     The hot path allocates nothing: [push] returns an immediate-int handle
-    and [pop_min_exn]/[min_time_exn] return unboxed values.  Cancellation is
+    and [next_time]/[pop_next] return unboxed values.  Cancellation is
     lazy — a cancelled event is skipped when it reaches the top — but the
     heap compacts itself in place whenever cancelled entries outnumber live
     ones, so a timer-heavy workload cannot grow the heap unboundedly. *)
@@ -42,15 +42,19 @@ val pop : 'a t -> (Time.t * 'a) option
 val is_empty : 'a t -> bool
 (** No live event remains (discards cancelled entries at the top). *)
 
-val min_time_exn : 'a t -> Time.t
-(** Timestamp of the earliest live event.  @raise Empty if none. *)
-
 val pop_min_exn : 'a t -> 'a
 (** Removes and returns the earliest live event without allocating.
     @raise Empty if none. *)
 
-val peek_time : 'a t -> Time.t option
-(** [peek_time h] is the timestamp of the earliest live event. *)
+val next_time : 'a t -> Time.t
+(** [next_time h] is the timestamp of the earliest live event, or [max_int]
+    when there is none, without allocating.  It discards the cancelled
+    entries at the top, so a {!pop_next} right after needs no search. *)
+
+val pop_next : 'a t -> 'a
+(** Removes and returns the event [next_time] just found.  Only valid
+    directly after a [next_time] that returned a time below [max_int],
+    with no push, pop or cancel in between. *)
 
 val cancel : 'a t -> handle -> unit
 (** [cancel h hd] marks the event as dead.  Idempotent; a no-op if the

@@ -99,7 +99,10 @@ let serie t name =
     s
 
 let incr t name = Stdlib.incr (int_ref t name)
-let add t name v = int_ref t name := !(int_ref t name) + v
+let add t name v =
+  let r = int_ref t name in
+  r := !r + v
+
 let counter t name = match Hashtbl.find_opt t.ints name with Some r -> !r | None -> 0
 
 let record t name v =

@@ -12,6 +12,11 @@
    the clock reaches them, preserving the exact (time, seq) total order of a
    pure-heap scheduler.
 
+   A per-level occupancy bitmap (one bit per bucket, set when the bucket
+   becomes non-empty, cleared when a cancel or a flush empties it) lets
+   [advance] and [rescan] visit only the buckets that hold timers rather
+   than probing all 768 heads on every drain.
+
    Bucket membership is computed from absolute times, and the engine only
    inserts entries whose bucket lies strictly in the future at insert time
    and flushes every bucket before the clock passes it, so a bucket never
@@ -39,6 +44,17 @@ let pack ~gen ~slot = (gen lsl slot_bits) lor slot
 let handle_slot h = h land slot_mask
 let handle_gen h = h lsr slot_bits
 
+(* Occupancy words hold 32 bucket bits each, so the index of an isolated
+   bit comes from a 32-bit de Bruijn multiply, exact in 63-bit ints. *)
+let word_bits = 32
+let words_per_level = buckets_per_level / word_bits
+
+let debruijn_index =
+  [| 0; 1; 28; 2; 29; 14; 24; 3; 30; 22; 20; 15; 25; 17; 4; 8;
+     31; 27; 13; 23; 21; 19; 16; 7; 26; 12; 18; 6; 11; 5; 10; 9 |]
+
+let bit_index bit = debruijn_index.(((bit * 0x077CB531) land 0xFFFF_FFFF) lsr 27)
+
 let st_free = '\000'
 let st_live = '\001'
 
@@ -59,6 +75,7 @@ type 'a t = {
   mutable prevs : int array;  (* -1 = head of its bucket *)
   mutable buckets : int array;  (* per-slot bucket index = level*256 + idx *)
   heads : int array;  (* levels * buckets_per_level, -1 = empty *)
+  occupied : int array;  (* bit (b mod 32) of word (b / 32): heads.(b) <> -1 *)
   mutable free_head : int;
   mutable live : int;
   mutable min_start : int;  (* cached earliest bucket start; max_int = dirty *)
@@ -85,6 +102,7 @@ let create ?(capacity = 64) ~dummy () =
       prevs = Array.make capacity (-1);
       buckets = Array.make capacity 0;
       heads = Array.make (levels * buckets_per_level) (-1);
+      occupied = Array.make (levels * words_per_level) 0;
       free_head = -1;
       live = 0;
       min_start = max_int;
@@ -94,6 +112,27 @@ let create ?(capacity = 64) ~dummy () =
   t
 
 let capacity t = Array.length t.times
+
+let mark t b =
+  let w = b lsr 5 in
+  t.occupied.(w) <- t.occupied.(w) lor (1 lsl (b land 31))
+
+let unmark t b =
+  let w = b lsr 5 in
+  t.occupied.(w) <- t.occupied.(w) land lnot (1 lsl (b land 31))
+
+(* [f b] for every occupied bucket [b] of level [l], in ascending order.
+   Each word is read once up front: [f] may empty the bucket it is given
+   or fill buckets of lower levels, never another bucket of level [l]. *)
+let iter_occupied t l f =
+  for w = l * words_per_level to ((l + 1) * words_per_level) - 1 do
+    let bits = ref t.occupied.(w) in
+    while !bits <> 0 do
+      let bit = !bits land - !bits in
+      bits := !bits lxor bit;
+      f ((w * word_bits) + bit_index bit)
+    done
+  done
 
 let grow t =
   let old = capacity t in
@@ -149,7 +188,7 @@ let insert t ~now ~time ~seq value =
   let head = t.heads.(b) in
   t.nexts.(s) <- head;
   t.prevs.(s) <- -1;
-  if head <> -1 then t.prevs.(head) <- s;
+  if head <> -1 then t.prevs.(head) <- s else mark t b;
   t.heads.(b) <- s;
   t.live <- t.live + 1;
   if t.min_start <> max_int then begin
@@ -160,7 +199,12 @@ let insert t ~now ~time ~seq value =
 
 let unlink t s =
   let nx = t.nexts.(s) and pv = t.prevs.(s) in
-  if pv = -1 then t.heads.(t.buckets.(s)) <- nx else t.nexts.(pv) <- nx;
+  if pv = -1 then begin
+    let b = t.buckets.(s) in
+    t.heads.(b) <- nx;
+    if nx = -1 then unmark t b
+  end
+  else t.nexts.(pv) <- nx;
   if nx <> -1 then t.prevs.(nx) <- pv
 
 let free_slot t s =
@@ -203,27 +247,23 @@ let release t h =
 
 let live t = t.live
 
-(* Earliest non-empty bucket's start time.  A full scan is 768 head probes
-   and only runs when the cache was invalidated by a flush. *)
+(* Earliest non-empty bucket's start time, over the occupied buckets only;
+   runs when the cache was invalidated by a flush. *)
 let rescan t =
   let m = ref max_int in
   for l = 0 to levels - 1 do
-    for i = 0 to buckets_per_level - 1 do
-      let head = t.heads.((l lsl bucket_bits) lor i) in
-      if head <> -1 then begin
-        let start = bucket_start ~level:l t.times.(head) in
-        if start < !m then m := start
-      end
-    done
+    iter_occupied t l (fun b ->
+        let start = bucket_start ~level:l t.times.(t.heads.(b)) in
+        if start < !m then m := start)
   done;
   t.min_start <- !m
 
 let next_boundary t =
-  if t.live = 0 then None
+  if t.live = 0 then max_int
   else begin
     if t.min_start = max_int then rescan t;
     (* min_start can point at a bucket emptied purely by cancels. *)
-    if t.min_start = max_int then None else Some t.min_start
+    t.min_start
   end
 
 (* Flush every bucket whose start is <= [upto].  Entries now within one
@@ -235,42 +275,41 @@ let next_boundary t =
    (always a strictly lower level), keeping its handle valid. *)
 let advance t ~upto ~emit =
   for l = levels - 1 downto 0 do
-    for i = 0 to buckets_per_level - 1 do
-      let b = (l lsl bucket_bits) lor i in
-      let head = t.heads.(b) in
-      if head <> -1 && bucket_start ~level:l t.times.(head) <= upto then begin
-        t.heads.(b) <- -1;
-        let s = ref head in
-        while !s <> -1 do
-          let cur = !s in
-          let next = t.nexts.(cur) in
-          let time = t.times.(cur) and seq = t.seqs.(cur) in
-          if l = 0 || (time lsr shift0) - (upto lsr shift0) < 1 then begin
-            let v = t.values.(cur) in
-            let heap_handle =
-              emit ~time ~seq ~handle:(pack ~gen:t.gens.(cur) ~slot:cur) v
-            in
-            Bytes.unsafe_set t.states cur st_moved;
-            t.values.(cur) <- t.dummy;
-            t.times.(cur) <- heap_handle;
-            t.live <- t.live - 1
-          end
-          else begin
-            let l' = level_for ~now:upto ~time in
-            let b' =
-              (l' lsl bucket_bits) lor ((time lsr level_shift l') land bucket_mask)
-            in
-            t.buckets.(cur) <- b';
-            let h' = t.heads.(b') in
-            t.nexts.(cur) <- h';
-            t.prevs.(cur) <- -1;
-            if h' <> -1 then t.prevs.(h') <- cur;
-            t.heads.(b') <- cur
-          end;
-          s := next
-        done
-      end
-    done
+    iter_occupied t l (fun b ->
+        let head = t.heads.(b) in
+        if bucket_start ~level:l t.times.(head) <= upto then begin
+          t.heads.(b) <- -1;
+          unmark t b;
+          let s = ref head in
+          while !s <> -1 do
+            let cur = !s in
+            let next = t.nexts.(cur) in
+            let time = t.times.(cur) and seq = t.seqs.(cur) in
+            if l = 0 || (time lsr shift0) - (upto lsr shift0) < 1 then begin
+              let v = t.values.(cur) in
+              let heap_handle =
+                emit ~time ~seq ~handle:(pack ~gen:t.gens.(cur) ~slot:cur) v
+              in
+              Bytes.unsafe_set t.states cur st_moved;
+              t.values.(cur) <- t.dummy;
+              t.times.(cur) <- heap_handle;
+              t.live <- t.live - 1
+            end
+            else begin
+              let l' = level_for ~now:upto ~time in
+              let b' =
+                (l' lsl bucket_bits) lor ((time lsr level_shift l') land bucket_mask)
+              in
+              t.buckets.(cur) <- b';
+              let h' = t.heads.(b') in
+              t.nexts.(cur) <- h';
+              t.prevs.(cur) <- -1;
+              if h' <> -1 then t.prevs.(h') <- cur else mark t b';
+              t.heads.(b') <- cur
+            end;
+            s := next
+          done
+        end)
   done;
   t.min_start <- max_int
 

@@ -46,10 +46,12 @@ val release : 'a t -> handle -> unit
 val live : 'a t -> int
 (** Number of pending entries.  O(1). *)
 
-val next_boundary : 'a t -> Time.t option
+val next_boundary : 'a t -> Time.t
 (** Start time of the earliest non-empty bucket — the latest moment by
-    which that bucket must be {!advance}d to preserve order.  May be
-    conservatively early after cancels (an early flush is harmless). *)
+    which that bucket must be {!advance}d to preserve order — or [max_int]
+    when the wheel is empty.  May be conservatively early after cancels
+    (an early flush is harmless).  Finding it visits only the occupied
+    buckets, which a per-level bitmap tracks. *)
 
 val advance :
   'a t ->

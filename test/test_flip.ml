@@ -60,6 +60,40 @@ let prop_split_conserves_bytes =
       && List.for_all (fun f -> f.Fragment.bytes <= 1460) frags)
 
 (* ------------------------------------------------------------------ *)
+(* Address keys *)
+
+(* Distinct addresses are distinct table keys (a point and a group of the
+   same number too), distinct (address, id) pairs get distinct int keys,
+   up to the edges of the fields, and a pair that does not fit raises
+   rather than colliding. *)
+let test_address_keys () =
+  let max_n = (1 lsl 29) - 1 and max_id = (1 lsl 32) - 1 in
+  let addrs =
+    List.concat_map (fun n -> [ Address.point n; Address.group n ]) [ 0; 1; 2; max_n ]
+  in
+  let tbl = Address.Tbl.create 4 in
+  List.iteri (fun i a -> Address.Tbl.replace tbl a i) addrs;
+  check_int "one entry per address" (List.length addrs) (Address.Tbl.length tbl);
+  List.iteri
+    (fun i a -> check_bool "found" true (Address.Tbl.find_opt tbl a = Some i))
+    addrs;
+  let distinct keys = List.length (List.sort_uniq compare keys) = List.length keys in
+  check_bool "pair keys distinct" true
+    (distinct
+       (List.concat_map
+          (fun a -> List.map (Address.pair_key a) [ 0; 1; 2; max_id ])
+          addrs));
+  let raises a id =
+    match Address.pair_key a id with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  check_bool "id past 32 bits" true (raises (Address.point 1) (max_id + 1));
+  check_bool "negative id" true (raises (Address.point 1) (-1));
+  check_bool "address past 29 bits" true (raises (Address.group (max_n + 1)) 0);
+  check_bool "negative address" true (raises (Address.point (-1)) 0)
+
+(* ------------------------------------------------------------------ *)
 (* Reassembly *)
 
 let frags_for ?(msg_id = 1) size =
@@ -89,6 +123,24 @@ let test_reassembly_duplicates () =
     check_bool "late dup ignored" true (Reassembly.add r b = None);
     check_int "two dups" 2 (Reassembly.duplicates r)
   | _ -> Alcotest.fail "expected 2 fragments"
+
+(* A one-fragment message completes on arrival and leaves no partial
+   state; a second copy is surfaced again (protocols answer
+   retransmissions) and counted as a duplicate.  The same message id from
+   another source is another message. *)
+let test_reassembly_single_fragment () =
+  let r = Reassembly.create () in
+  let one ~src =
+    List.hd
+      (Fragment.split ~src ~dst:(Address.point 9) ~msg_id:5 ~mtu:1460 ~size:100 (Probe 100))
+  in
+  let from1 = one ~src:(Address.point 1) and from2 = one ~src:(Address.point 2) in
+  check_bool "completes on arrival" true (Reassembly.add r from1 <> None);
+  check_int "nothing pending" 0 (Reassembly.pending r);
+  check_bool "copy surfaced again" true (Reassembly.add r from1 <> None);
+  check_int "copy counted" 1 (Reassembly.duplicates r);
+  check_bool "same id, other source" true (Reassembly.add r from2 <> None);
+  check_int "not a duplicate" 1 (Reassembly.duplicates r)
 
 let test_reassembly_interleaved_messages () =
   let r = Reassembly.create () in
@@ -245,10 +297,12 @@ let () =
       ( "fragment",
         [ Alcotest.test_case "split sizes" `Quick test_split_sizes ]
         @ qsuite [ prop_split_conserves_bytes ] );
+      ("address", [ Alcotest.test_case "table keys" `Quick test_address_keys ]);
       ( "reassembly",
         [
           Alcotest.test_case "out of order" `Quick test_reassembly_out_of_order;
           Alcotest.test_case "duplicates" `Quick test_reassembly_duplicates;
+          Alcotest.test_case "single fragment" `Quick test_reassembly_single_fragment;
           Alcotest.test_case "interleaved" `Quick test_reassembly_interleaved_messages;
           Alcotest.test_case "purge" `Quick test_reassembly_purge;
         ]

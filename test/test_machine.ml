@@ -126,6 +126,32 @@ let test_daemon_preempts_normal () =
   check_int "daemon done" (Time.us 260) !b_done;
   check_int "worker delayed" (Time.us 1300) !a_done
 
+(* Preemptions nest across levels, and each preempted job resumes ahead of
+   the same-priority jobs that queued behind it.  Switches are free, so
+   every completion time is plain arithmetic. *)
+let test_preempted_jobs_resume_first () =
+  let e = Engine.create () in
+  let cpu = Cpu.create e { Cpu.warm = 0; cold_idle = 0; cold_preempt = 0 } in
+  let log = ref [] in
+  let job name ~key ~prio ~cost at =
+    ignore
+      (Engine.at e at (fun () ->
+           Cpu.submit cpu ~key ~prio ~cost (fun () -> log := (name, Engine.now e) :: !log)))
+  in
+  job "low" ~key:1 ~prio:2 ~cost:100 0;
+  job "low2" ~key:2 ~prio:2 ~cost:10 10;
+  job "mid" ~key:3 ~prio:1 ~cost:100 20 (* preempts low after 20 *);
+  job "mid2" ~key:4 ~prio:1 ~cost:10 30;
+  job "irq" ~key:Cpu.interrupt_key ~prio:0 ~cost:5 40 (* preempts mid after 20 *);
+  let waiting = ref (-1) in
+  ignore (Engine.at e 41 (fun () -> waiting := Cpu.queue_length cpu));
+  Engine.run e;
+  check_int "low, low2, mid, mid2 wait behind the interrupt" 4 !waiting;
+  Alcotest.(check (list (pair string int)))
+    "completion order"
+    [ ("irq", 45); ("mid", 125); ("mid2", 135); ("low", 215); ("low2", 225) ]
+    (List.rev !log)
+
 let test_warm_wakeup_same_thread () =
   let e, m = fixture () in
   let mu = Sync.Mutex.create m in
@@ -430,6 +456,7 @@ let () =
           Alcotest.test_case "back-to-back free" `Quick test_back_to_back_computes_no_switch;
           Alcotest.test_case "two threads serialize" `Quick test_two_threads_serialize;
           Alcotest.test_case "daemon preempts" `Quick test_daemon_preempts_normal;
+          Alcotest.test_case "preempted jobs resume first" `Quick test_preempted_jobs_resume_first;
           Alcotest.test_case "warm wakeup" `Quick test_warm_wakeup_same_thread;
           Alcotest.test_case "interrupt cost" `Quick test_interrupt_runs_at_cost;
           Alcotest.test_case "interrupt delays compute" `Quick test_interrupt_delays_compute;

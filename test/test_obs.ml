@@ -9,6 +9,11 @@ let check_string = Alcotest.(check string)
 
 let recorded = lazy (Core.Experiments.recorded_rpc ())
 
+let contains haystack needle =
+  let n = String.length needle and h = String.length haystack in
+  let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
+  go 0
+
 (* ---------- spans ---------- *)
 
 let test_span_balance () =
@@ -99,6 +104,19 @@ let null_rpc_run recorder =
     ~backends:(Core.Cluster.backends cluster Core.Cluster.User)
     ~machines:cluster.Core.Cluster.machines ~recorder ()
 
+let check_same_ledger label a b =
+  List.iter
+    (fun layer ->
+      List.iter
+        (fun cause ->
+          check_int
+            (Printf.sprintf "%s: ledger %s/%s" label (Obs.Layer.to_string layer)
+               (Obs.Cause.to_string cause))
+            (Obs.Recorder.ledger_ns a ~layer ~cause)
+            (Obs.Recorder.ledger_ns b ~layer ~cause))
+        Obs.Cause.all)
+    Obs.Layer.all
+
 (* Spans are the only thing a ledger-only recorder drops: the ledger, the
    counters and the simulated run itself match a span-keeping recording
    of the same run. *)
@@ -107,17 +125,7 @@ let test_ledger_only_recorder () =
   let m_lean = null_rpc_run lean and m_full = null_rpc_run full in
   check_int "ledger-only recorder keeps no spans" 0 (Obs.Recorder.n_spans lean);
   check_bool "span recorder keeps spans" true (Obs.Recorder.n_spans full > 0);
-  List.iter
-    (fun layer ->
-      List.iter
-        (fun cause ->
-          check_int
-            (Printf.sprintf "ledger %s/%s" (Obs.Layer.to_string layer)
-               (Obs.Cause.to_string cause))
-            (Obs.Recorder.ledger_ns full ~layer ~cause)
-            (Obs.Recorder.ledger_ns lean ~layer ~cause))
-        Obs.Cause.all)
-    Obs.Layer.all;
+  check_same_ledger "ledger-only vs span recorder" full lean;
   let header_rx r = Sim.Stats.counter (Obs.Recorder.stats r) "obs.nic.header_rx_ns" in
   check_bool "header correction counted" true (header_rx full > 0);
   check_int "obs.nic.header_rx_ns" (header_rx full) (header_rx lean);
@@ -126,6 +134,27 @@ let test_ledger_only_recorder () =
   Alcotest.(check (float 0.)) "p50" m_full.Load.Metrics.p50_ms m_lean.Load.Metrics.p50_ms;
   Alcotest.(check (float 0.)) "mean" m_full.Load.Metrics.mean_ms m_lean.Load.Metrics.mean_ms;
   Alcotest.(check (float 0.)) "max" m_full.Load.Metrics.max_ms m_lean.Load.Metrics.max_ms
+
+(* Whether spans are kept, and so whether an interrupt's ["irq:"] span name
+   is built, is decided per domain: a span-keeping job and a ledger-only
+   job running at once on two domains each see only their own recorder. *)
+let test_spans_per_domain () =
+  let solo = Obs.Recorder.create () in
+  let m_solo = null_rpc_run solo in
+  let runs =
+    Exec.Pool.with_pool ~jobs:2 (fun pool ->
+        Exec.Pool.map_array pool
+          (fun spans ->
+            let r = Obs.Recorder.create ~spans () in
+            (r, null_rpc_run r))
+          [| true; false |])
+  in
+  let full, _ = runs.(0) and lean, m_lean = runs.(1) in
+  check_bool "the spans job's trace names irq:nic.rx" true
+    (contains (Obs.Export.chrome_trace full) {|"irq:nic.rx"|});
+  check_int "the ledger-only job keeps no spans" 0 (Obs.Recorder.n_spans lean);
+  check_same_ledger "ledger-only job vs solo run" solo lean;
+  check_int "completed" m_solo.Load.Metrics.completed m_lean.Load.Metrics.completed
 
 (* ---------- export determinism ---------- *)
 
@@ -139,11 +168,7 @@ let test_export_determinism () =
 let test_chrome_trace_shape () =
   let r, _ = Lazy.force recorded in
   let trace = Obs.Export.chrome_trace r in
-  let contains needle =
-    let n = String.length needle and h = String.length trace in
-    let rec go i = i + n <= h && (String.sub trace i n = needle || go (i + 1)) in
-    go 0
-  in
+  let contains = contains trace in
   check_bool "is a trace_event container" true
     (String.length trace > 2 && String.sub trace 0 15 = {|{"traceEvents":|});
   check_bool "names threads" true (contains {|"thread_name"|});
@@ -215,6 +240,7 @@ let () =
             test_ledger_accounts_for_cpu_time;
           Alcotest.test_case "composition" `Quick test_ledger_composition;
           Alcotest.test_case "ledger-only recorder" `Quick test_ledger_only_recorder;
+          Alcotest.test_case "spans per domain" `Quick test_spans_per_domain;
         ] );
       ( "stats",
         [ Alcotest.test_case "percentiles" `Quick test_percentiles ] );

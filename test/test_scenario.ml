@@ -264,6 +264,22 @@ let test_soak_deterministic () =
   check_bool "rerun identical" true
     (Scenario.Soak.run soak_cfg = Scenario.Soak.run soak_cfg)
 
+(* A soak's memory must not grow with its horizon: once a run has returned
+   and the heap is compacted, twice the windows leave the live heap within
+   4 KB of the N-window run. *)
+let test_soak_heap_flat () =
+  let live_after windows =
+    ignore (Scenario.Soak.run { soak_cfg with Scenario.Soak.sk_windows = windows });
+    Gc.compact ();
+    (Gc.stat ()).Gc.live_words * (Sys.word_size / 8)
+  in
+  let n = live_after 4 in
+  let twice = live_after 8 in
+  check_bool
+    (Printf.sprintf "live heap %d B after 4 windows, %d B after 8" n twice)
+    true
+    (abs (twice - n) < 4096)
+
 let () =
   Alcotest.run "scenario"
     [
@@ -297,5 +313,6 @@ let () =
         [
           Alcotest.test_case "zero violations" `Quick test_soak_zero_violations;
           Alcotest.test_case "deterministic" `Quick test_soak_deterministic;
+          Alcotest.test_case "twice the windows, same live heap" `Quick test_soak_heap_flat;
         ] );
     ]

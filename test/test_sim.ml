@@ -47,7 +47,7 @@ let test_heap_peek_skips_cancelled () =
   let a = Heap.push h ~time:1 "a" in
   ignore (Heap.push h ~time:7 "b");
   Heap.cancel h a;
-  Alcotest.(check (option int)) "peek" (Some 7) (Heap.peek_time h)
+  check_int "peek" 7 (Heap.next_time h)
 
 let prop_heap_sorted =
   QCheck.Test.make ~name:"heap pops sorted" ~count:200
@@ -309,32 +309,45 @@ let test_wheel_stale_cancel_after_fire () =
    enabled must fire the exact same (time, id) sequence as one with every
    event in the pure heap, under a random program of schedules and cancels
    — including cancels of already-fired (stale) handles and of timers that
-   have migrated wheel -> heap. *)
+   have migrated wheel -> heap.  Each op is (kind, x, gap):
+   - kind 0 schedules a near event (heap path), 1 a timer a few granules
+     out (wheel level 0), 2 a timer from 256 granules to past 65 536
+     (levels 1 and 2, so their buckets cascade and cancels can empty
+     them), and 3 cancels the handle of op [x mod n];
+   - gap 0 and 1 put a long idle stretch (~300 and ~70 000 granules)
+     before the op, so upper-level buckets come due with nothing else
+     pending; any other gap advances a third of a granule. *)
 let run_scheduler_program ~wheel ops =
   let n = List.length ops in
   let e = Engine.create ~wheel () in
   let log = ref [] in
   let handles = Array.make (max 1 n) None in
-  (* Driver ticks march time forward a third of a granule per op, so far
-     timers live through several bucket drains before firing. *)
-  let step = g0 / 3 in
+  let tick = ref 0 in
   List.iteri
-    (fun i (op, x) ->
+    (fun i (kind, x, gap) ->
+      (tick :=
+         !tick
+         +
+         match gap with
+         | 0 -> (300 * g0) + (x * 7)
+         | 1 -> (70_000 * g0) + (x * 13)
+         | _ -> g0 / 3);
       ignore
-        (Engine.at e
-           ((i + 1) * step)
-           (fun () ->
-             match op with
-             | 0 | 1 ->
-               let d =
-                 if op = 0 then 1 + (x mod g0) (* near: heap path *)
-                 else g0 + (x * 2053 mod (5 * g0)) (* far: wheel path *)
-               in
+        (Engine.at e !tick (fun () ->
+             let delay =
+               match kind with
+               | 0 -> Some (1 + (x mod g0))
+               | 1 -> Some (g0 + (x * 2053 mod (5 * g0)))
+               | 2 -> Some ((256 * g0) + (x * 14 * g0) + (x * 2053 mod g0))
+               | _ -> None
+             in
+             match delay with
+             | Some d ->
                handles.(i) <-
                  Some
                    (Engine.after e d (fun () ->
                         log := (Engine.now e, i) :: !log))
-             | _ -> (
+             | None -> (
                match handles.(x mod max 1 n) with
                | Some h -> Engine.cancel e h (* live, migrated or stale *)
                | None -> ()))))
@@ -344,8 +357,9 @@ let run_scheduler_program ~wheel ops =
 
 let prop_wheel_matches_heap =
   QCheck.Test.make ~name:"hybrid wheel+heap fires exactly like a pure heap"
-    ~count:100
-    QCheck.(list_of_size Gen.(5 -- 80) (pair (int_bound 2) (int_bound 10_000)))
+    ~count:200
+    QCheck.(
+      list_of_size Gen.(5 -- 80) (triple (int_bound 3) (int_bound 10_000) (int_bound 7)))
     (fun ops ->
       run_scheduler_program ~wheel:true ops
       = run_scheduler_program ~wheel:false ops)
