@@ -1019,7 +1019,9 @@ let rec strip_obs = function
     (obs, a :: sel)
 
 (* `--faults SPEC` anywhere on the command line installs that fault
-   schedule on every table's cells (see Faults.Spec for the grammar). *)
+   schedule on every table's cells (see Faults.Spec for the grammar).
+   Every artifact runs the kernel stack under the single sequencer, which
+   survives no sequencer crash, so a [seqcrash] is refused here. *)
 let rec strip_faults = function
   | [] -> (None, [])
   | [ "--faults" ] ->
@@ -1027,7 +1029,15 @@ let rec strip_faults = function
     exit 2
   | "--faults" :: spec :: rest -> (
       let faults, sel = strip_faults rest in
-      match Faults.Spec.parse spec with
+      let parsed =
+        Result.bind (Faults.Spec.parse spec) (fun f ->
+            Result.map
+              (fun () -> f)
+              (Core.Cluster.sequencer_support
+                 ~seq_crash:(f.Faults.Spec.seq_crash <> None)
+                 Core.Cluster.Kernel Panda.Seq_policy.Single))
+      in
+      match parsed with
       | Ok f -> ((match faults with Some _ -> faults | None -> Some f), sel)
       | Error msg ->
         Printf.eprintf "--faults: %s\n" msg;

@@ -98,22 +98,38 @@ let policy_arg =
            single and batch only, and a $(b,seqcrash) fault needs a user \
            stack with a policy other than single; other combinations exit 2.")
 
+let reject msg =
+  prerr_endline ("amoeba_repro: " ^ msg);
+  exit 2
+
+let seq_crash faults = Option.bind faults (fun f -> f.Faults.Spec.seq_crash) <> None
+
 (* Rejects, before anything is simulated, a stack x sequencer policy x
    seqcrash combination the library cannot run: exit 2 with the reason,
    like any other bad argument. *)
 let check_sequencer ?faults impls policies =
-  let seq_crash = Option.bind faults (fun f -> f.Faults.Spec.seq_crash) <> None in
   List.iter
     (fun impl ->
       List.iter
         (fun policy ->
-          match Core.Cluster.sequencer_support ~seq_crash impl policy with
+          match
+            Core.Cluster.sequencer_support ~seq_crash:(seq_crash faults) impl policy
+          with
           | Ok () -> ()
-          | Error msg ->
-            prerr_endline ("amoeba_repro: " ^ msg);
-            exit 2)
+          | Error msg -> reject msg)
         policies)
     impls
+
+(* The DHT and the sharded service run every RPC stack under the single
+   sequencer, and the one-sided stack has no sequencer to crash. *)
+let check_stacks ?faults stacks =
+  check_sequencer ?faults
+    (List.filter_map
+       (function Core.Cluster.Rpc_stack impl -> Some impl | One_sided -> None)
+       stacks)
+    [ Panda.Seq_policy.Single ];
+  if seq_crash faults && List.mem Core.Cluster.One_sided stacks then
+    reject "seqcrash needs a sequencer: the one-sided stack has none"
 
 let lanes_arg =
   Arg.(
@@ -216,6 +232,7 @@ let obs_log_arg =
 
 let latency_cmd =
   let run impl size net faults trace obs obs_log =
+    check_sequencer ?faults [ impl ] [ Panda.Seq_policy.Single ];
     if obs_log then Obs.Log.set_enabled true;
     let impl2 =
       match impl with
@@ -981,6 +998,7 @@ let dht_cmd =
   in
   let run stack reads nodes clients window warmup seed net faults checked lanes
       jobs =
+    check_stacks ?faults [ stack ];
     Core.Cluster.set_default_lanes lanes;
     let config = dht_config ~clients ~warmup ~window ~seed in
     let cells =
@@ -1019,6 +1037,7 @@ let crossover_cmd =
   in
   let run nets stacks reads nodes clients window warmup seed faults checked
       lanes jobs =
+    check_stacks ?faults (Option.value stacks ~default:Core.Cluster.all_stacks);
     Core.Cluster.set_default_lanes lanes;
     let config = dht_config ~clients ~warmup ~window ~seed in
     let cells =
@@ -1138,6 +1157,7 @@ let cluster_cmd =
   in
   let run nodes stacks skews rates shards replicas window seed rebalance forced
       ab net faults checked lanes jobs =
+    check_stacks ?faults (Option.value stacks ~default:Core.Experiments.cluster_stacks);
     Core.Cluster.set_default_lanes lanes;
     let rebalance =
       if (not rebalance) && forced = [] then None

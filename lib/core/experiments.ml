@@ -109,6 +109,20 @@ let run_cells ?pool thunks =
   | None -> List.map (fun f -> f ()) thunks
   | Some p -> Exec.Pool.map_list p (fun f -> f ()) thunks
 
+(* A grid of cells, [cell outer inner] for every pair, fanned out as one
+   flat list and regrouped by outer key: [(outer, [(inner, result)])], in
+   input order. *)
+let run_grid ?pool outers inners cell =
+  let results =
+    Array.of_list
+      (run_cells ?pool
+         (List.concat_map (fun o -> List.map (fun i () -> cell o i) inners) outers))
+  in
+  let n = List.length inners in
+  List.mapi
+    (fun k o -> (o, List.mapi (fun j i -> (i, results.((k * n) + j))) inners))
+    outers
+
 (* ------------------------------------------------------------------ *)
 (* Table 1: system-layer unicast/multicast (user space only) *)
 
@@ -1011,55 +1025,31 @@ let pp_fault_row fmt r =
 
 let load_impls = [ Cluster.Kernel; Cluster.User; Cluster.User_optimized ]
 
-let load_cell ?faults ?(checked = false) ?net ?client_ranks
+let load_cell ?faults ?checked ?net ?client_ranks
     ?(policy = Panda.Seq_policy.Single) ~nodes ~impl cfg () =
-  let cluster =
-    Cluster.create ~extra_machine:(impl = Cluster.User_dedicated) ?net ~n:nodes ()
+  let cell =
+    Cell.create ?faults ?checked ?net ~policy ~n:nodes (Cluster.Rpc_stack impl)
   in
-  (match faults with
-   | Some spec ->
-     ignore (Faults.Inject.install cluster.Cluster.eng cluster.Cluster.topo spec)
-   | None -> ());
-  let shards = Panda.Seq_policy.shards policy in
-  let checker = if checked then Some (Faults.Invariants.create ~shards ()) else None in
-  let backends =
-    Cluster.backends ?checker ~policy
-      ?seq_crash:(Option.bind faults (fun f -> f.Faults.Spec.seq_crash))
-      cluster impl
-  in
-  let seq_machine = Cluster.sequencer_machine cluster impl in
+  let cluster = Cell.cluster cell in
+  let backends = Cell.backends cell in
   let m =
     Load.Clients.run cfg ~eng:cluster.Cluster.eng ~backends
-      ~machines:cluster.Cluster.machines ~seq_machine ?client_ranks ~shards ()
+      ~machines:cluster.Cluster.machines
+      ~seq_machine:(Cluster.sequencer_machine cluster impl)
+      ?client_ranks ~shards:(Panda.Seq_policy.shards policy) ()
   in
-  match checker with
-  | Some c ->
-    Faults.Invariants.finalize c;
-    { m with Load.Metrics.violations = Faults.Invariants.n_violations c }
-  | None -> m
+  { m with Load.Metrics.violations = (Cell.finish cell).Cell.n_violations }
 
 let load_rates = [ 200.; 400.; 800.; 1200.; 1600.; 2000. ]
 
 let load_sweep ?pool ?faults ?checked ?net ?(nodes = 4)
     ?(config = Load.Clients.default) ?(rates = load_rates) ?(impls = load_impls)
     () =
-  let cells =
-    List.concat_map
-      (fun impl ->
-        List.map
-          (fun rate () ->
-            load_cell ?faults ?checked ?net ~nodes ~impl
-              { config with Load.Clients.rate } ())
-          rates)
-      impls
-  in
-  let results = run_cells ?pool cells in
-  let nr = List.length rates in
-  List.mapi
-    (fun i impl ->
-      let points = List.filteri (fun j _ -> j / nr = i) results in
-      (impl, Load.Sweep.curve points))
-    impls
+  List.map
+    (fun (impl, points) -> (impl, Load.Sweep.curve (List.map snd points)))
+    (run_grid ?pool impls rates (fun impl rate ->
+         load_cell ?faults ?checked ?net ~nodes ~impl
+           { config with Load.Clients.rate } ()))
 
 (* ------------------------------------------------------------------ *)
 (* Loss x load tail grids.  The protocols' 200 ms retransmission timeout
@@ -1145,9 +1135,11 @@ let pp_tail_cell fmt c =
    sends, so its utilization is pure sequencing. *)
 let sequencer_senders = [ 1; 2; 4; 7 ]
 
-let sequencer_saturation ?pool ?faults ?checked ?net ?(nodes = 8)
-    ?(senders = sequencer_senders) ?(clients_per_node = 2)
-    ?(config = Load.Clients.default) ?(impls = load_impls) ?policy () =
+(* Closed-loop zero-think group senders on ranks 1..s, for every sender
+   count [s] under every outer key; [stack_of] names the stack and
+   sequencer policy an outer key runs. *)
+let sender_sweep ~name ?pool ?faults ?checked ?net ~nodes ~senders
+    ~clients_per_node ~config outers stack_of =
   let cfg =
     {
       config with
@@ -1156,26 +1148,17 @@ let sequencer_saturation ?pool ?faults ?checked ?net ?(nodes = 8)
       clients_per_node;
     }
   in
-  let cells =
-    List.concat_map
-      (fun impl ->
-        List.map
-          (fun s () ->
-            if s >= nodes then
-              invalid_arg "Experiments.sequencer_saturation: senders >= nodes";
-            let client_ranks = List.init s (fun i -> i + 1) in
-            load_cell ?faults ?checked ?net ?policy ~client_ranks ~nodes ~impl
-              cfg ())
-          senders)
-      impls
-  in
-  let results = run_cells ?pool cells in
-  let ns = List.length senders in
-  List.mapi
-    (fun i impl ->
-      let points = List.filteri (fun j _ -> j / ns = i) results in
-      (impl, List.combine senders points))
-    impls
+  run_grid ?pool outers senders (fun outer s ->
+      if s >= nodes then invalid_arg ("Experiments." ^ name ^ ": senders >= nodes");
+      let impl, policy = stack_of outer in
+      let client_ranks = List.init s (fun i -> i + 1) in
+      load_cell ?faults ?checked ?net ?policy ~client_ranks ~nodes ~impl cfg ())
+
+let sequencer_saturation ?pool ?faults ?checked ?net ?(nodes = 8)
+    ?(senders = sequencer_senders) ?(clients_per_node = 2)
+    ?(config = Load.Clients.default) ?(impls = load_impls) ?policy () =
+  sender_sweep ~name:"sequencer_saturation" ?pool ?faults ?checked ?net ~nodes
+    ~senders ~clients_per_node ~config impls (fun impl -> (impl, policy))
 
 let pp_saturation_row fmt (s, m) =
   Format.fprintf fmt
@@ -1197,34 +1180,9 @@ let sequencer_policy_sweep ?pool ?faults ?checked ?net ?(nodes = 8)
     ?(senders = sequencer_senders) ?(clients_per_node = 2)
     ?(config = Load.Clients.default) ?(impl = Cluster.User)
     ?(policies = sequencer_policies) () =
-  let cfg =
-    {
-      config with
-      Load.Clients.op = Load.Clients.Group;
-      arrival = Load.Arrival.Closed 0;
-      clients_per_node;
-    }
-  in
-  let cells =
-    List.concat_map
-      (fun policy ->
-        List.map
-          (fun s () ->
-            if s >= nodes then
-              invalid_arg "Experiments.sequencer_policy_sweep: senders >= nodes";
-            let client_ranks = List.init s (fun i -> i + 1) in
-            load_cell ?faults ?checked ?net ~policy ~client_ranks ~nodes ~impl
-              cfg ())
-          senders)
-      policies
-  in
-  let results = run_cells ?pool cells in
-  let ns = List.length senders in
-  List.mapi
-    (fun i policy ->
-      let points = List.filteri (fun j _ -> j / ns = i) results in
-      (policy, List.combine senders points))
-    policies
+  sender_sweep ~name:"sequencer_policy_sweep" ?pool ?faults ?checked ?net
+    ~nodes ~senders ~clients_per_node ~config policies (fun policy ->
+      (impl, Some policy))
 
 let pp_policy_row fmt (policy, (s, m)) =
   let shard_note =
@@ -1309,14 +1267,10 @@ type xcell = {
    plus the ledger partition, the busiest segment's utilization over the
    window, and the DHT's own coherence counters (client-observed torn
    blocks plus the post-drain at-rest scan). *)
-let dht_cell ?faults ?(checked = false) ~net ~stack ~read_pct ~params ~nodes
-    cfg () =
-  let cluster = Cluster.create ~net ~n:nodes () in
+let dht_cell ?faults ?checked ~net ~stack ~read_pct ~params ~nodes cfg () =
+  let cell = Cell.create ?faults ?checked ~net ~n:nodes stack in
+  let cluster = Cell.cluster cell in
   let eng = cluster.Cluster.eng in
-  (match faults with
-   | Some spec -> ignore (Faults.Inject.install eng cluster.Cluster.topo spec)
-   | None -> ());
-  let checker = if checked then Some (Faults.Invariants.create ()) else None in
   let dp = { params with Apps.Dht.dh_read_pct = read_pct } in
   let recorder = Obs.Recorder.create () in
   (* Wire-busy snapshots at the window edges (scheduled before the load
@@ -1334,35 +1288,22 @@ let dht_cell ?faults ?(checked = false) ~net ~stack ~read_pct ~params ~nodes
        (t0 + cfg.Load.Clients.warmup + cfg.Load.Clients.window)
        (fun () ->
          Array.iteri (fun i s -> wire1.(i) <- Net.Segment.busy_time s) segs));
-  let label = Cluster.stack_label stack in
-  let run_load dht =
-    Load.Clients.run_custom cfg ~eng ~machines:cluster.Cluster.machines ~label
-      ~op_name:"dht" ~recorder
+  let dht =
+    match stack with
+    | Cluster.Rpc_stack _ ->
+      let backends = Cell.backends cell in
+      Apps.Dht.create_rpc ~params:dp ~backends ~server:0 ()
+    | Cluster.One_sided ->
+      let rnics = Cell.rnics cell in
+      Apps.Dht.create_onesided ~params:dp ~rnics ~server:0 ()
+  in
+  let m =
+    Load.Clients.run_custom cfg ~eng ~machines:cluster.Cluster.machines
+      ~label:(Cluster.stack_label stack) ~op_name:"dht" ~recorder
       ~op:(fun rank rng -> Apps.Dht.client_op dht ~rank rng)
       ()
   in
-  let dht, m =
-    match stack with
-    | Cluster.Rpc_stack impl ->
-      let backends = Cluster.backends ?checker cluster impl in
-      let dht = Apps.Dht.create_rpc ~params:dp ~backends ~server:0 () in
-      (dht, run_load dht)
-    | Cluster.One_sided ->
-      let rnics = Cluster.rnics cluster in
-      (match checker with
-       | Some c -> Faults.Invariants.attach_rnics c rnics
-       | None -> ());
-      let dht = Apps.Dht.create_onesided ~params:dp ~rnics ~server:0 () in
-      (dht, run_load dht)
-  in
-  let violations =
-    match checker with
-    | Some c ->
-      Faults.Invariants.finalize c;
-      Faults.Invariants.n_violations c
-    | None -> 0
-  in
-  let m = { m with Load.Metrics.violations } in
+  let m = { m with Load.Metrics.violations = (Cell.finish cell).Cell.n_violations } in
   let window_s = Sim.Time.to_sec cfg.Load.Clients.window in
   let wire_util = ref 0. in
   Array.iteri
@@ -1580,13 +1521,12 @@ let cluster_default_config =
     window = Sim.Time.ms 400;
   }
 
-let cluster_cell ?faults ?(checked = false) ?net ?lanes ?(shards = 32)
-    ?(replicas = 1) ?(service_params = Shard.Service.default_params) ?rebalance
-    ~nodes ~stack ~skew cfg () =
-  let cluster = Cluster.create ?net ?lanes ~n:nodes () in
+let cluster_cell ?faults ?checked ?net ?lanes ?(shards = 32) ?(replicas = 1)
+    ?(service_params = Shard.Service.default_params) ?rebalance ~nodes ~stack
+    ~skew cfg () =
+  let cell = Cell.create ?faults ?checked ?net ?lanes ~n:nodes stack in
+  let cluster = Cell.cluster cell in
   let eng = cluster.Cluster.eng in
-  install_faults ?faults eng cluster.Cluster.topo;
-  let checker = if checked then Some (Faults.Invariants.create ()) else None in
   (* The one-sided service has no server threads to hand shards between,
      so it runs unreplicated and statically placed. *)
   let replicas = match stack with Cluster.One_sided -> 1 | _ -> replicas in
@@ -1648,8 +1588,8 @@ let cluster_cell ?faults ?(checked = false) ?net ?lanes ?(shards = 32)
   in
   let service, stats_opt =
     match stack with
-    | Cluster.Rpc_stack impl ->
-      let backends = Cluster.backends ?checker cluster impl in
+    | Cluster.Rpc_stack _ ->
+      let backends = Cell.backends cell in
       let service =
         Shard.Service.create_rpc ~params:p ~backends ~router ~lane_of ()
       in
@@ -1665,24 +1605,12 @@ let cluster_cell ?faults ?(checked = false) ?net ?lanes ?(shards = 32)
       in
       (service, stats)
     | Cluster.One_sided ->
-      let rnics = Cluster.rnics cluster in
-      (match checker with
-       | Some c -> Faults.Invariants.attach_rnics c rnics
-       | None -> ());
+      let rnics = Cell.rnics cell in
       (Shard.Service.create_onesided ~params:p ~rnics ~router (), None)
   in
-  (match checker with
-   | Some c -> Shard.Service.register_checker service c
-   | None -> ());
+  Option.iter (Shard.Service.register_checker service) (Cell.checker cell);
   let m = run_load service in
-  let violations =
-    match checker with
-    | Some c ->
-      Faults.Invariants.finalize c;
-      Faults.Invariants.n_violations c
-    | None -> 0
-  in
-  let m = { m with Load.Metrics.violations } in
+  let m = { m with Load.Metrics.violations = (Cell.finish cell).Cell.n_violations } in
   let window_s = Sim.Time.to_sec cfg.Load.Clients.window in
   let wire_max = ref 0. and wire_sum = ref 0. in
   Array.iteri
@@ -1741,26 +1669,16 @@ let cluster_sweep ?pool ?faults ?checked ?net ?lanes ?shards ?replicas
           stacks)
       nodes
   in
-  let cells =
-    List.concat_map
-      (fun (n, stack, skew) ->
-        List.map
-          (fun rate () ->
-            cluster_cell ?faults ?checked ?net ?lanes ?shards ?replicas
-              ?service_params ?rebalance ~nodes:n ~stack ~skew
-              { config with Load.Clients.rate }
-              ())
-          rates)
-      combos
-  in
-  let results = run_cells ?pool cells in
-  let nr = List.length rates in
-  List.mapi
-    (fun i combo ->
-      let points = List.filteri (fun j _ -> j / nr = i) results in
+  List.map
+    (fun (combo, points) ->
+      let points = List.map snd points in
       let curve = Load.Sweep.curve (List.map (fun c -> c.cc_metrics) points) in
       (combo, points, Load.Sweep.knee curve))
-    combos
+    (run_grid ?pool combos rates (fun (n, stack, skew) rate ->
+         cluster_cell ?faults ?checked ?net ?lanes ?shards ?replicas
+           ?service_params ?rebalance ~nodes:n ~stack ~skew
+           { config with Load.Clients.rate }
+           ()))
 
 (* The migration A/B: the identical skewed closed-loop workload twice —
    static placement vs the ledger-driven rebalancer — so the achieved

@@ -497,7 +497,10 @@ val cluster_cell :
     match), every other rank a client.  One-sided runs force replicas
     to 1 and never migrate.  With [checked], the conformance checkers
     wrap the stack and the service's at-rest audit joins the checker's
-    finalize pass. *)
+    finalize pass.  No stack here survives a sequencer crash (the RPC
+    stacks run the single sequencer, the one-sided stack has none), so
+    a [seqcrash] in [faults] raises [Invalid_argument] before anything
+    runs. *)
 
 val cluster_nodes : int list
 val cluster_skews : Load.Keys.skew list

@@ -68,35 +68,19 @@ type outcome = {
   o_violations : string list;
 }
 
-let run ?faults ?(checked = false) ?net ?lanes
-    ?(sequencer = Panda.Seq_policy.Single) ~impl ~procs app =
+let run ?faults ?checked ?net ?lanes ?(sequencer = Panda.Seq_policy.Single)
+    ~impl ~procs app =
   (* The dedicated-sequencer variant sacrifices one of the P processors to
      the sequencer: P-1 Orca workers (the paper's 15 workers at P=16). *)
   let workers =
     match impl with Cluster.User_dedicated -> max 1 (procs - 1) | _ -> procs
   in
-  let cluster =
-    Cluster.create
-      ~extra_machine:(impl = Cluster.User_dedicated)
-      ?net ?lanes ~n:workers ()
+  let cell =
+    Cell.create ?faults ?checked ?net ?lanes ~policy:sequencer ~n:workers
+      (Cluster.Rpc_stack impl)
   in
-  let fstats =
-    match faults with
-    | Some spec -> Some (Faults.Inject.install cluster.Cluster.eng cluster.Cluster.topo spec)
-    | None -> None
-  in
-  let checker =
-    if checked then
-      Some (Faults.Invariants.create ~shards:(Panda.Seq_policy.shards sequencer) ())
-    else None
-  in
-  (* A scheduled sequencer crash is a fault like any other: driven by the
-     spec, visible to the app only as recovery latency. *)
-  let backends =
-    Cluster.backends ?checker ~policy:sequencer
-      ?seq_crash:(Option.bind faults (fun f -> f.Faults.Spec.seq_crash))
-      cluster impl
-  in
+  let cluster = Cell.cluster cell in
+  let backends = Cell.backends cell in
   let dom = Orca.Rts.create_domain ~rts_overhead:Params.rts_overhead backends in
   let body, result = app.app_make dom in
   let finish = ref Sim.Time.zero in
@@ -115,7 +99,7 @@ let run ?faults ?(checked = false) ?net ?lanes
                if now > !finish then finish := now)))
   done;
   Sim.Engine.run cluster.Cluster.eng;
-  (match checker with Some c -> Faults.Invariants.finalize c | None -> ());
+  let verdict = Cell.finish cell in
   let checksum = result () in
   let until = max 1 !finish in
   let stats =
@@ -146,10 +130,8 @@ let run ?faults ?(checked = false) ?net ?lanes
     o_events = Sim.Engine.events_executed cluster.Cluster.eng;
     o_stats = stats;
     o_retrans = Orca.Rts.retransmissions dom;
-    o_fault_kills =
-      (match fstats with Some s -> Faults.Inject.killed s | None -> 0);
-    o_violations =
-      (match checker with Some c -> Faults.Invariants.violations c | None -> []);
+    o_fault_kills = verdict.Cell.kills;
+    o_violations = verdict.Cell.violations;
   }
 
 let prepare app = ignore (Lazy.force app.app_reference)

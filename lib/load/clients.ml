@@ -9,6 +9,7 @@ type config = {
   clients_per_node : int;
   warmup : Sim.Time.span;
   window : Sim.Time.span;
+  windows : int;
   seed : int;
 }
 
@@ -22,17 +23,29 @@ let default =
     clients_per_node = 4;
     warmup = Sim.Time.ms 250;
     window = Sim.Time.sec 1;
+    windows = 1;
     seed = 1;
   }
 
 let op_label = function Rpc -> "rpc" | Group -> "group"
 
+(* One measurement window's accumulators. *)
+type window = {
+  lat : Sim.Stats.t;
+  mutable issued : int;
+  mutable completed : int;
+  by_shard : int array;
+}
+
 (* The measurement engine shared by [run] (Orca backends) and
-   [run_custom] (any op body, e.g. one-sided DHT ops).  The order of every
-   RNG split and every scheduled event is load-bearing: existing pinned
-   results depend on it bit-for-bit. *)
+   [run_custom] (any op body, e.g. one-sided DHT ops).  [op rank rng size]
+   issues one operation and returns its ordering shard, counted per window
+   when [shards] > 0.  The order of every RNG split and every scheduled
+   event is load-bearing: existing pinned results depend on it
+   bit-for-bit. *)
 let run_core cfg ~eng ~machines ~label ~op_name ?seq_machine ?lane_of ?trace
-    ~server ~client_ranks ?recorder ~op () =
+    ~server ~client_ranks ?recorder ~shards ~op () =
+  if cfg.windows < 1 then invalid_arg "Clients: need at least one window";
   (* Replay runs off a trace: the explicit override if given, else the file
      named by a [Replay] arrival (loaded once, time-scaled).  [trace]
      stays [None] on every other path, which therefore executes exactly
@@ -52,39 +65,57 @@ let run_core cfg ~eng ~machines ~label ~op_name ?seq_machine ?lane_of ?trace
   let per_client_rate = cfg.rate /. float_of_int n_clients in
   let t0 = Sim.Engine.now eng in
   let w_start = t0 + cfg.warmup in
-  let w_end = w_start + cfg.window in
-  let stats = Sim.Stats.create () in
-  let issued = ref 0 and completed = ref 0 in
-  let note ~sched ~fin =
-    if sched >= w_start && sched < w_end then begin
-      incr issued;
-      Sim.Stats.record stats "lat_ms" (Sim.Time.to_ms (fin - sched))
-    end;
-    if fin >= w_start && fin < w_end then incr completed
+  let nw = cfg.windows in
+  let w_end = w_start + (nw * cfg.window) in
+  let wins =
+    Array.init nw (fun _ ->
+        {
+          lat = Sim.Stats.create ();
+          issued = 0;
+          completed = 0;
+          by_shard = Array.make shards 0;
+        })
   in
-  (* Window boundaries: snapshot every CPU's busy time and scope an Obs
-     recorder to exactly the measurement window. *)
-  let n_mach = Array.length machines in
-  let busy0 = Array.make n_mach 0 and busy1 = Array.make n_mach 0 in
-  let seq_busy0 = ref 0 and seq_busy1 = ref 0 in
-  let srv_intr0 = ref 0 and srv_intr1 = ref 0 in
-  let seq_busy m = Machine.Cpu.busy_time (Machine.Mach.cpu m) in
-  let intr_busy m = Machine.Cpu.busy_interrupt_time (Machine.Mach.cpu m) in
+  (* The whole measurement's histogram: the window's own when there is
+     only one. *)
+  let all = if nw = 1 then wins.(0).lat else Sim.Stats.create () in
+  let note ~sched ~fin shard =
+    if sched >= w_start && sched < w_end then begin
+      let w = wins.((sched - w_start) / cfg.window) in
+      w.issued <- w.issued + 1;
+      let lat = Sim.Time.to_ms (fin - sched) in
+      Sim.Stats.record w.lat "lat_ms" lat;
+      if nw > 1 then Sim.Stats.record all "lat_ms" lat
+    end;
+    if fin >= w_start && fin < w_end then begin
+      let w = wins.((fin - w_start) / cfg.window) in
+      w.completed <- w.completed + 1;
+      if shards > 0 then w.by_shard.(shard) <- w.by_shard.(shard) + 1
+    end
+  in
+  (* Window edges: snapshot every CPU's busy time and the recorder's
+     ledger, and scope the recorder to exactly the measured windows. *)
+  let busy = Array.init (nw + 1) (fun _ -> Array.make (Array.length machines) 0) in
+  let seq_busy = Array.make (nw + 1) 0 in
+  let srv_intr = Array.make (nw + 1) 0 in
+  let ledger = Array.make (nw + 1) 0 in
+  let busy_time m = Machine.Cpu.busy_time (Machine.Mach.cpu m) in
   let recorder =
     match recorder with Some r -> r | None -> Obs.Recorder.create ()
   in
-  ignore
-    (Sim.Engine.at eng w_start (fun () ->
-         Array.iteri (fun i m -> busy0.(i) <- seq_busy m) machines;
-         (match seq_machine with Some m -> seq_busy0 := seq_busy m | None -> ());
-         srv_intr0 := intr_busy machines.(server);
-         Obs.Recorder.install recorder));
-  ignore
-    (Sim.Engine.at eng w_end (fun () ->
-         Array.iteri (fun i m -> busy1.(i) <- seq_busy m) machines;
-         (match seq_machine with Some m -> seq_busy1 := seq_busy m | None -> ());
-         srv_intr1 := intr_busy machines.(server);
-         Obs.Recorder.uninstall ()));
+  for i = 0 to nw do
+    ignore
+      (Sim.Engine.at eng
+         (w_start + (i * cfg.window))
+         (fun () ->
+           Array.iteri (fun j m -> busy.(i).(j) <- busy_time m) machines;
+           (match seq_machine with Some m -> seq_busy.(i) <- busy_time m | None -> ());
+           srv_intr.(i) <-
+             Machine.Cpu.busy_interrupt_time (Machine.Mach.cpu machines.(server));
+           if i = 0 then Obs.Recorder.install recorder;
+           ledger.(i) <- Obs.Recorder.cpu_ns recorder;
+           if i = nw then Obs.Recorder.uninstall ()))
+  done;
   (* One RNG per client, split in client order from the root seed. *)
   let root = Sim.Rng.create ~seed:cfg.seed in
   let mean_gap_ns = if cfg.rate > 0. then 1e9 /. per_client_rate else 0. in
@@ -126,8 +157,8 @@ let run_core cfg ~eng ~machines ~label ~op_name ?seq_machine ?lane_of ?trace
                    if sched < w_end then begin
                      let now = Sim.Engine.now eng in
                      if now < sched then Machine.Thread.sleep (sched - now);
-                     do_op (Some e.Trace.size);
-                     note ~sched ~fin:(Sim.Engine.now eng);
+                     let shard = do_op (Some e.Trace.size) in
+                     note ~sched ~fin:(Sim.Engine.now eng) shard;
                      loop (j + n_clients)
                    end
                  end
@@ -139,8 +170,8 @@ let run_core cfg ~eng ~machines ~label ~op_name ?seq_machine ?lane_of ?trace
                   let rec loop () =
                     let sched = Sim.Engine.now eng in
                     if sched < w_end then begin
-                      do_op None;
-                      note ~sched ~fin:(Sim.Engine.now eng);
+                      let shard = do_op None in
+                      note ~sched ~fin:(Sim.Engine.now eng) shard;
                       if think > 0 then Machine.Thread.sleep think;
                       loop ()
                     end
@@ -162,68 +193,75 @@ let run_core cfg ~eng ~machines ~label ~op_name ?seq_machine ?lane_of ?trace
                         sched
                         + Arrival.gap cfg.arrival ~rate:per_client_rate
                             ~now:sched rng;
-                      do_op None;
-                      note ~sched ~fin:(Sim.Engine.now eng);
+                      let shard = do_op None in
+                      note ~sched ~fin:(Sim.Engine.now eng) shard;
                       loop ()
                     end
                   in
                   loop ())))))
     clients;
   Sim.Engine.run eng;
-  (* The run can drain before the w_end snapshot fires only if no client
-     ever issues; guard so utilizations stay well-defined. *)
-  let window_s = Sim.Time.to_sec cfg.window in
-  let util i =
-    Float.max 0. (Sim.Time.to_sec (busy1.(i) - busy0.(i)) /. window_s)
+  (* The metrics over window edges [a, b]: one window, or all of them.
+     The run can drain before the last edge fires only if no client ever
+     issues; guard so utilizations stay well-defined. *)
+  let measure ~a ~b lat ~issued ~completed ~per_shard ~ledger_ns ~per_window =
+    let span_s = Sim.Time.to_sec ((b - a) * cfg.window) in
+    let frac ns = Float.max 0. (Sim.Time.to_sec ns /. span_s) in
+    let util i = frac (busy.(b).(i) - busy.(a).(i)) in
+    let server_util = util server in
+    let achieved = float_of_int completed /. span_s in
+    (* Replay and ramp arrivals have no single configured rate: the
+       offered load is what was actually scheduled inside the window. *)
+    let offered =
+      if trace <> None then float_of_int issued /. span_s
+      else
+        match cfg.arrival with
+        | Arrival.Closed _ -> achieved
+        | Arrival.Ramp _ -> float_of_int issued /. span_s
+        | _ -> cfg.rate
+    in
+    let pct p = Sim.Stats.percentile lat "lat_ms" p in
+    {
+      Metrics.label;
+      op = op_name;
+      offered;
+      achieved;
+      issued;
+      completed;
+      p50_ms = pct 50.;
+      p95_ms = pct 95.;
+      p99_ms = pct 99.;
+      p999_ms = pct 99.9;
+      mean_ms = Sim.Stats.mean lat "lat_ms";
+      max_ms = (if Sim.Stats.count lat "lat_ms" = 0 then 0. else Sim.Stats.max_value lat "lat_ms");
+      client_util = List.fold_left (fun acc r -> Float.max acc (util r)) 0. client_ranks;
+      server_util;
+      server_thread_util =
+        frac (busy.(b).(server) - busy.(a).(server) - (srv_intr.(b) - srv_intr.(a)));
+      seq_util =
+        (match seq_machine with
+         | Some _ -> frac (seq_busy.(b) - seq_busy.(a))
+         | None -> server_util);
+      ledger_cpu_ms = float_of_int ledger_ns /. 1e6;
+      violations = 0;
+      per_shard;
+      per_window;
+    }
   in
-  let client_util =
-    List.fold_left (fun acc r -> Float.max acc (util r)) 0. client_ranks
+  let per_window =
+    Array.mapi
+      (fun i w ->
+        measure ~a:i ~b:(i + 1) w.lat ~issued:w.issued ~completed:w.completed
+          ~per_shard:w.by_shard ~ledger_ns:(ledger.(i + 1) - ledger.(i))
+          ~per_window:[||])
+      wins
   in
-  let server_util = util server in
-  let server_thread_util =
-    Float.max 0.
-      (Sim.Time.to_sec
-         (busy1.(server) - busy0.(server) - (!srv_intr1 - !srv_intr0))
-      /. window_s)
-  in
-  let seq_util =
-    match seq_machine with
-    | Some _ -> Float.max 0. (Sim.Time.to_sec (!seq_busy1 - !seq_busy0) /. window_s)
-    | None -> server_util
-  in
-  let achieved = float_of_int !completed /. window_s in
-  (* Replay and ramp arrivals have no single configured rate: the offered
-     load is what was actually scheduled inside the window. *)
-  let offered =
-    if trace <> None then float_of_int !issued /. window_s
-    else
-      match cfg.arrival with
-      | Arrival.Closed _ -> achieved
-      | Arrival.Ramp _ -> float_of_int !issued /. window_s
-      | _ -> cfg.rate
-  in
-  let lat p = Sim.Stats.percentile stats "lat_ms" p in
-  {
-    Metrics.label;
-    op = op_name;
-    offered;
-    achieved;
-    issued = !issued;
-    completed = !completed;
-    p50_ms = lat 50.;
-    p95_ms = lat 95.;
-    p99_ms = lat 99.;
-    p999_ms = lat 99.9;
-    mean_ms = Sim.Stats.mean stats "lat_ms";
-    max_ms = (if Sim.Stats.count stats "lat_ms" = 0 then 0. else Sim.Stats.max_value stats "lat_ms");
-    client_util;
-    server_util;
-    server_thread_util;
-    seq_util;
-    ledger_cpu_ms = float_of_int (Obs.Recorder.cpu_ns recorder) /. 1e6;
-    violations = 0;
-    per_shard = [||];
-  }
+  let sum f = Array.fold_left (fun acc w -> acc + f w) 0 wins in
+  measure ~a:0 ~b:nw all
+    ~issued:(sum (fun w -> w.issued))
+    ~completed:(sum (fun w -> w.completed))
+    ~per_shard:(Array.init shards (fun s -> sum (fun w -> w.by_shard.(s))))
+    ~ledger_ns:(Obs.Recorder.cpu_ns recorder) ~per_window
 
 let resolve_ranks ~n ~server = function
   | Some l -> l
@@ -246,38 +284,29 @@ let run cfg ~eng ~backends ~machines ?seq_machine ?(server = 0) ?client_ranks
     backends;
   (* Group sends carry a counter-based ordering key — not an RNG draw, so
      the event stream (and every pinned single-shard result) is untouched
-     — and the window's completions are attributed to the key's shard. *)
+     — and each completion is attributed to the key's shard. *)
   let next_key = ref 0 in
-  let shard_done = Array.make shards 0 in
-  let t0 = Sim.Engine.now eng in
-  let w_start = t0 + cfg.warmup in
-  let w_end = w_start + cfg.window in
   let op rank rng size =
     (* Replayed requests carry their trace size; everything else draws from
        the mix with exactly the pre-replay stream. *)
     let size = match size with Some s -> s | None -> Mix.pick cfg.mix rng in
     let b = backends.(rank) in
     match cfg.op with
-    | Rpc -> ignore (b.Orca.Backend.rpc ~dst:server ~size Sim.Payload.Empty)
+    | Rpc ->
+      ignore (b.Orca.Backend.rpc ~dst:server ~size Sim.Payload.Empty);
+      0
     | Group ->
       let key = !next_key in
       incr next_key;
       b.Orca.Backend.broadcast ~nonblocking:false ~key ~size Sim.Payload.Empty;
-      let fin = Sim.Engine.now eng in
-      if fin >= w_start && fin < w_end then begin
-        let sh = Panda.Seq_policy.shard_of_key ~shards key in
-        shard_done.(sh) <- shard_done.(sh) + 1
-      end
+      Panda.Seq_policy.shard_of_key ~shards key
   in
-  let m =
-    run_core cfg ~eng ~machines
-      ~label:backends.(0).Orca.Backend.label
-      ~op_name:(op_label cfg.op) ?seq_machine ?trace ~server ~client_ranks
-      ?recorder ~op ()
-  in
-  match cfg.op with
-  | Group -> { m with Metrics.per_shard = shard_done }
-  | Rpc -> m
+  run_core cfg ~eng ~machines
+    ~label:backends.(0).Orca.Backend.label
+    ~op_name:(op_label cfg.op) ?seq_machine ?trace ~server ~client_ranks
+    ?recorder
+    ~shards:(match cfg.op with Group -> shards | Rpc -> 0)
+    ~op ()
 
 let run_custom cfg ~eng ~machines ~label ~op_name ?seq_machine ?lane_of ?trace
     ?(server = 0) ?client_ranks ?recorder ~op () =
@@ -286,6 +315,8 @@ let run_custom cfg ~eng ~machines ~label ~op_name ?seq_machine ?lane_of ?trace
   let client_ranks = resolve_ranks ~n ~server client_ranks in
   if client_ranks = [] then invalid_arg "Clients.run_custom: no client ranks";
   run_core cfg ~eng ~machines ~label ~op_name ?seq_machine ?lane_of ?trace
-    ~server ~client_ranks ?recorder
-    ~op:(fun rank rng _size -> op rank rng)
+    ~server ~client_ranks ?recorder ~shards:0
+    ~op:(fun rank rng _size ->
+      op rank rng;
+      0)
     ()

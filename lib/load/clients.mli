@@ -3,11 +3,13 @@
     [run] spawns [clients_per_node] client threads on every client rank,
     each with its own SplitMix64 stream split from [seed], issuing
     blocking RPCs to the server rank or totally-ordered group sends.
-    The run is warmup, then a measurement window (latency histogram,
-    achieved throughput, per-machine CPU utilization, an {!Obs.Recorder}
-    ledger scoped to the window), then drain; clients stop issuing at
-    the window's end, and the engine runs until every in-flight request
-    completes.  Everything is a pure function of (config, cluster), so
+    The run is warmup, then [windows] consecutive measurement windows
+    (latency histogram, achieved throughput, per-machine CPU utilization,
+    an {!Obs.Recorder} ledger scoped to the windows), then drain; clients
+    stop issuing at the last window's end, and the engine runs until
+    every in-flight request completes.  The returned metrics cover all
+    the windows together, and [Metrics.per_window] splits them window by
+    window.  Everything is a pure function of (config, cluster), so
     results are bit-identical across reruns and {!Exec.Pool} fan-out. *)
 
 type op = Rpc | Group
@@ -23,12 +25,13 @@ type config = {
   clients_per_node : int;
   warmup : Sim.Time.span;
   window : Sim.Time.span;  (** measurement window length *)
+  windows : int;  (** consecutive measurement windows, at least 1 *)
   seed : int;
 }
 
 val default : config
 (** Null RPC, uniform arrivals at 200 ops/s, 4 clients/node, 250 ms
-    warmup, 1 s window, seed 1. *)
+    warmup, one 1 s window, seed 1. *)
 
 val run :
   config ->
@@ -65,7 +68,8 @@ val run :
     [trace] passes an in-memory trace instead, forcing replay without
     touching the filesystem (the arrival process is then ignored).
     [Metrics.offered] for replay/ramp runs is the rate actually
-    scheduled inside the window. *)
+    scheduled inside the window.
+    @raise Invalid_argument when [config.windows] < 1. *)
 
 val run_custom :
   config ->

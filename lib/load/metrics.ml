@@ -18,6 +18,7 @@ type t = {
   ledger_cpu_ms : float;
   violations : int;
   per_shard : int array;
+  per_window : t array;
 }
 
 let saturated ?(frac = 0.95) t = t.achieved < frac *. t.offered

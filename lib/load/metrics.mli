@@ -37,6 +37,10 @@ type t = {
           shard, indexed by shard — [[||]] for RPC/custom runs.  Sums to
           [completed]; the spread shows how evenly the key hash balances
           ordering load across sharded sequencers. *)
+  per_window : t array;
+      (** the same measurement split into its consecutive windows, in
+          order (see {!Clients.config}'s [windows]); each window's own
+          [per_window] is [[||]] *)
 }
 
 val saturated : ?frac:float -> t -> bool

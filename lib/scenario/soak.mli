@@ -12,7 +12,9 @@
     deltas, so the report reads as a timeline: load breathing with the
     diurnal cycle, the tail inflating when the fault schedule bites,
     recovery after a sequencer crash — with zero invariant violations
-    as the pass criterion. *)
+    as the pass criterion.  The cell is a {!Core.Cell} and the load is
+    {!Load.Clients}' own client loop: the window rows are its per-window
+    metrics, plus the soak's own retransmission and kill snapshots. *)
 
 type config = {
   sk_impl : Core.Cluster.impl;

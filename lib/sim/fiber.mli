@@ -2,7 +2,7 @@
 
     A fiber runs ordinary OCaml code in direct style and blocks by
     {!suspend}ing: it hands a [resume] callback to whoever will wake it (a
-    timer, a mailbox, a CPU scheduler) and the engine resumes the
+    timer, a condition variable, a CPU scheduler) and the engine resumes the
     continuation at a later simulated instant.  All fibers share one OS
     thread; scheduling is deterministic. *)
 

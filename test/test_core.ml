@@ -85,6 +85,84 @@ let test_dedicated_sequencer_worker_count () =
   let o = Core.Runner.run ~impl:Core.Cluster.User_dedicated ~procs:4 app in
   check_bool "valid result with P-1 workers" true o.Core.Runner.o_valid
 
+(* Whole [Runner.outcome] records, pinned field by field (floats to 17
+   digits), for one small checked app per stack under 1% frame loss: the
+   time, checksum, event count, every protocol and utilization counter,
+   retransmissions, fault kills and the violation list. *)
+let outcome_line (o : Core.Runner.outcome) =
+  let s = o.Core.Runner.o_stats in
+  Printf.sprintf
+    "%s %s P=%d %.17g s checksum=%d valid=%b events=%d | bc=%d rpc=%d \
+     parked=%d mig=%d bytes=%d net=%.17g cpu=%.17g sw=%d | retrans=%d \
+     kills=%d violations=[%s]"
+    o.o_app
+    (Core.Cluster.impl_label o.o_impl)
+    o.o_procs o.o_seconds o.o_checksum o.o_valid o.o_events s.s_broadcasts
+    s.s_remote s.s_parked s.s_migrations s.s_net_bytes s.s_net_util
+    s.s_cpu_util_max s.s_ctx_switches o.o_retrans o.o_fault_kills
+    (String.concat "; " o.o_violations)
+
+let test_runner_outcomes_pinned () =
+  let faults = Result.get_ok (Faults.Spec.parse "seed=7,loss=0.01") in
+  let app app_name make sequential =
+    { Core.Runner.app_name; app_make = make; app_reference = lazy (sequential ()) }
+  in
+  List.iter
+    (fun (impl, app, expected) ->
+      let o = Core.Runner.run ~faults ~checked:true ~impl ~procs:4 app in
+      Alcotest.(check string) (Core.Cluster.impl_label impl) expected (outcome_line o))
+    [
+      ( Core.Cluster.Kernel,
+        app "tsp"
+          (fun d -> Apps.Tsp.make d Apps.Tsp.test_params)
+          (fun () -> Apps.Tsp.sequential Apps.Tsp.test_params),
+        "tsp kernel P=4 0.09934896 s checksum=152 valid=true events=2272 | bc=8 \
+         rpc=53 parked=0 mig=0 bytes=20344 net=0.22466264367538422 \
+         cpu=1.0057381577019024 sw=728 | retrans=0 kills=1 violations=[]" );
+      ( Core.Cluster.User,
+        app "sor"
+          (fun d -> Apps.Sor.make d Apps.Sor.test_params)
+          (fun () -> Apps.Sor.sequential Apps.Sor.test_params),
+        "sor user P=4 2.9150717199999998 s checksum=36990 valid=true \
+         events=27615 | bc=36 rpc=432 parked=200 mig=0 bytes=183000 \
+         net=0.061157466136030438 cpu=0.09942846963641773 sw=4351 | \
+         retrans=33 kills=15 violations=[]" );
+      ( Core.Cluster.User_dedicated,
+        app "leq"
+          (fun d -> Apps.Leq.make d Apps.Leq.test_params)
+          (fun () -> Apps.Leq.sequential Apps.Leq.test_params),
+        "leq user-dedicated P=4 1.20090988 s checksum=5189 valid=true \
+         events=21070 | bc=303 rpc=0 parked=202 mig=0 bytes=116096 \
+         net=0.093772898262773893 cpu=0.15425640431903184 sw=703 | \
+         retrans=23 kills=6 violations=[]" );
+      ( Core.Cluster.User_optimized,
+        app "asp"
+          (fun d -> Apps.Asp.make d Apps.Asp.test_params)
+          (fun () -> Apps.Asp.sequential Apps.Asp.test_params),
+        "asp optimized P=4 0.094591999999999996 s checksum=110151 valid=true \
+         events=3938 | bc=48 rpc=0 parked=144 mig=0 bytes=25744 \
+         net=0.24824086603518267 cpu=0.69555226657645464 sw=609 | retrans=0 \
+         kills=0 violations=[]" );
+    ]
+
+(* A fault spec's seqcrash reaches every stack a cell builds.  The
+   sharded service's RPC stacks run the single sequencer, which cannot
+   recover, and the one-sided stack has no sequencer: either cell is
+   refused before anything runs instead of the crash being dropped. *)
+let test_cell_keeps_seqcrash () =
+  let faults = Result.get_ok (Faults.Spec.parse "seqcrash=0.2") in
+  List.iter
+    (fun stack ->
+      match
+        Core.Experiments.cluster_cell ~faults ~nodes:16 ~stack
+          ~skew:Load.Keys.Uniform Core.Experiments.cluster_default_config ()
+      with
+      | exception Invalid_argument _ -> ()
+      | _ ->
+        Alcotest.failf "the %s cell ran with its seqcrash dropped"
+          (Core.Cluster.stack_label stack))
+    [ Core.Cluster.Rpc_stack Core.Cluster.User; Core.Cluster.One_sided ]
+
 let test_nonblocking_ablation () =
   let rows = Core.Experiments.ablation_nonblocking () in
   let blocking = List.assoc "blocking send (ms)" rows in
@@ -170,6 +248,8 @@ let () =
           Alcotest.test_case "shapes" `Quick test_cluster_shapes;
           Alcotest.test_case "runner validates" `Quick test_runner_validates_checksum;
           Alcotest.test_case "dedicated workers" `Quick test_dedicated_sequencer_worker_count;
+          Alcotest.test_case "runner outcomes pinned" `Quick test_runner_outcomes_pinned;
+          Alcotest.test_case "cells keep seqcrash" `Quick test_cell_keeps_seqcrash;
           Alcotest.test_case "sequencer support grid" `Quick test_sequencer_support_grid;
         ] );
       ( "memory",

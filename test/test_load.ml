@@ -203,6 +203,7 @@ let synth offered achieved =
     ledger_cpu_ms = 0.;
     violations = 0;
     per_shard = [||];
+    per_window = [||];
   }
 
 let test_knee_detection () =
@@ -375,6 +376,57 @@ let test_checked_low_loss () =
       (abs_float (m.Load.Metrics.achieved -. 400.) <= 20.)
   | _ -> Alcotest.fail "expected one point"
 
+(* ------------------------------------------------------------------ *)
+(* Consecutive windows: one client loop measures [windows] windows back
+   to back.  They partition the whole measurement's counts, per-shard
+   completions, CPU ledger and server busy time, and one window is the
+   whole measurement. *)
+
+let test_windows_partition () =
+  let cfg =
+    {
+      quick_config with
+      Load.Clients.op = Load.Clients.Group;
+      rate = 600.;
+      window = Sim.Time.ms 100;
+      windows = 3;
+    }
+  in
+  let policy = Result.get_ok (Panda.Seq_policy.of_string "shard:2") in
+  let m = Core.Experiments.load_cell ~policy ~nodes:4 ~impl:Core.Cluster.User cfg () in
+  let ws = Array.to_list m.Load.Metrics.per_window in
+  let sum f = List.fold_left (fun acc w -> acc + f w) 0 ws in
+  let fsum f = List.fold_left (fun acc w -> acc +. f w) 0. ws in
+  let close a b = Float.abs (a -. b) < 1e-9 in
+  check_int "three windows" 3 (List.length ws);
+  check_bool "windows are leaves" true
+    (List.for_all (fun w -> w.Load.Metrics.per_window = [||]) ws);
+  check_int "issued" m.Load.Metrics.issued (sum (fun w -> w.Load.Metrics.issued));
+  check_int "completed" m.Load.Metrics.completed
+    (sum (fun w -> w.Load.Metrics.completed));
+  check_int "shards sum to completed" m.Load.Metrics.completed
+    (Array.fold_left ( + ) 0 m.Load.Metrics.per_shard);
+  Array.iteri
+    (fun s n -> check_int "shard" n (sum (fun w -> w.Load.Metrics.per_shard.(s))))
+    m.Load.Metrics.per_shard;
+  check_bool "ledger" true
+    (close m.Load.Metrics.ledger_cpu_ms (fsum (fun w -> w.Load.Metrics.ledger_cpu_ms)));
+  check_bool "server busy" true
+    (close (3. *. m.Load.Metrics.server_util)
+       (fsum (fun w -> w.Load.Metrics.server_util)));
+  let one =
+    Core.Experiments.load_cell ~policy ~nodes:4 ~impl:Core.Cluster.User
+      { cfg with Load.Clients.windows = 1 } ()
+  in
+  check_bool "one window is the whole measurement" true
+    (one.Load.Metrics.per_window = [| { one with Load.Metrics.per_window = [||] } |]);
+  match
+    Core.Experiments.load_cell ~nodes:4 ~impl:Core.Cluster.User
+      { cfg with Load.Clients.windows = 0 } ()
+  with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "zero windows accepted"
+
 let () =
   Alcotest.run "load"
     [
@@ -406,4 +458,5 @@ let () =
           Alcotest.test_case "sequencer saturation" `Quick test_sequencer_saturation;
           Alcotest.test_case "checked low loss" `Quick test_checked_low_loss;
         ] );
+      ("windows", [ Alcotest.test_case "partition" `Quick test_windows_partition ]);
     ]

@@ -48,14 +48,9 @@ let test_profile_eras_get_faster () =
 (* A 2-machine cluster with a region on rank 0 and a client thread on
    rank 1; returns whatever the client computed once the engine drains. *)
 let run_client ?faults ?(net = Core.Params.net10m) ~words body =
-  let cluster = Core.Cluster.create ~net ~n:2 () in
-  (match faults with
-   | Some spec ->
-     ignore
-       (Faults.Inject.install cluster.Core.Cluster.eng cluster.Core.Cluster.topo
-          spec)
-   | None -> ());
-  let rnics = Core.Cluster.rnics cluster in
+  let cell = Core.Cell.create ?faults ~net ~n:2 Core.Cluster.One_sided in
+  let cluster = Core.Cell.cluster cell in
+  let rnics = Core.Cell.rnics cell in
   let region = Onesided.Region.create ~key:7 ~name:"mem" ~words in
   Onesided.Rnic.register_region rnics.(0) region;
   let dst = Onesided.Rnic.addr rnics.(0) in
@@ -175,13 +170,9 @@ let test_ledger_attribution () =
 (* Fault schedules: the one-sided protocol under loss/dup/corrupt *)
 
 let os_fault_run spec =
-  let checker = Faults.Invariants.create () in
-  let cluster = Core.Cluster.create ~n:3 () in
-  ignore
-    (Faults.Inject.install cluster.Core.Cluster.eng cluster.Core.Cluster.topo
-       spec);
-  let rnics = Core.Cluster.rnics cluster in
-  Faults.Invariants.attach_rnics checker rnics;
+  let cell = Core.Cell.create ~faults:spec ~checked:true ~n:3 Core.Cluster.One_sided in
+  let cluster = Core.Cell.cluster cell in
+  let rnics = Core.Cell.rnics cell in
   let region = Onesided.Region.create ~key:7 ~name:"mem" ~words:64 in
   Onesided.Rnic.register_region rnics.(0) region;
   let dst = Onesided.Rnic.addr rnics.(0) in
@@ -206,13 +197,11 @@ let os_fault_run spec =
            done))
   done;
   Sim.Engine.run cluster.Core.Cluster.eng;
-  Faults.Invariants.finalize checker;
-  (checker, rnics)
+  (Core.Cell.finish cell, Option.get (Core.Cell.checker cell), rnics)
 
 let test_faults_loss () =
-  let checker, rnics = os_fault_run (Faults.Spec.loss ~seed:11 0.03) in
-  check_int "no invariant violations under loss" 0
-    (Faults.Invariants.n_violations checker);
+  let verdict, checker, rnics = os_fault_run (Faults.Spec.loss ~seed:11 0.03) in
+  check_int "no invariant violations under loss" 0 verdict.Core.Cell.n_violations;
   check_bool "ops were checked" true
     (Faults.Invariants.onesided_checked checker > 0);
   let retrans =
@@ -222,9 +211,8 @@ let test_faults_loss () =
 
 let test_faults_dup_corrupt () =
   let spec = { (Faults.Spec.loss ~seed:13 0.01) with Faults.Spec.dup = 0.05; corrupt = 0.02 } in
-  let checker, rnics = os_fault_run spec in
-  check_int "no violations under dup+corrupt+loss" 0
-    (Faults.Invariants.n_violations checker);
+  let verdict, _, rnics = os_fault_run spec in
+  check_int "no violations under dup+corrupt+loss" 0 verdict.Core.Cell.n_violations;
   (* Duplicated or retransmitted cas requests must be answered from the
      replay cache, never re-executed. *)
   let replays =
@@ -237,25 +225,18 @@ let test_faults_dup_corrupt () =
 (* DHT coherence over both transports *)
 
 let dht_run ?faults ~onesided () =
-  let cluster = Core.Cluster.create ~n:3 () in
-  (match faults with
-   | Some spec ->
-     ignore
-       (Faults.Inject.install cluster.Core.Cluster.eng cluster.Core.Cluster.topo
-          spec)
-   | None -> ());
+  let stack =
+    if onesided then Core.Cluster.One_sided else Core.Cluster.Rpc_stack Core.Cluster.User
+  in
+  let cell = Core.Cell.create ?faults ~n:3 stack in
+  let cluster = Core.Cell.cluster cell in
   let params =
     { Apps.Dht.default_params with Apps.Dht.dh_keys = 64; dh_value_words = 8 }
   in
   let dht =
     if onesided then
-      Apps.Dht.create_onesided ~params
-        ~rnics:(Core.Cluster.rnics cluster)
-        ~server:0 ()
-    else
-      Apps.Dht.create_rpc ~params
-        ~backends:(Core.Cluster.backends cluster Core.Cluster.User)
-        ~server:0 ()
+      Apps.Dht.create_onesided ~params ~rnics:(Core.Cell.rnics cell) ~server:0 ()
+    else Apps.Dht.create_rpc ~params ~backends:(Core.Cell.backends cell) ~server:0 ()
   in
   let root = Sim.Rng.create ~seed:3 in
   for rank = 1 to 2 do

@@ -264,6 +264,23 @@ let test_soak_deterministic () =
   check_bool "rerun identical" true
     (Scenario.Soak.run soak_cfg = Scenario.Soak.run soak_cfg)
 
+(* The whole report, pinned as [pp_report] prints it: every window row
+   and the horizon totals, including the two requests issued but not
+   completed inside the horizon. *)
+let test_soak_report_pinned () =
+  Alcotest.(check string)
+    "report"
+    (String.concat "\n"
+       [
+         "soak user/group: 4 windows";
+         "  w0       100 ms     68.0 off     76.0 ach  p50   1.560  p99   1.560  p99.9    1.560  srv   7.3%  rt 1    kill 0";
+         "  w1       350 ms    176.0 off     24.0 ach  p50 408.000  p99 609.841  p99.9  609.841  srv   2.6%  rt 0    kill 0";
+         "  w2       600 ms    192.0 off     64.0 ach  p50 148.000  p99 472.000  p99.9  472.000  srv   4.9%  rt 20   kill 1";
+         "  w3       850 ms    228.0 off    492.0 ach  p50   9.250  p99 204.000  p99.9  204.000  srv  24.5%  rt 12   kill 1";
+         "  total: 166 issued, 164 completed, p99 592.000 ms, p99.9 609.841 ms, 33 retrans, 2 kills, seqcrash, 0 violations";
+       ])
+    (Format.asprintf "%a" Scenario.Soak.pp_report (Scenario.Soak.run soak_cfg))
+
 (* A soak's memory must not grow with its horizon: once a run has returned
    and the heap is compacted, twice the windows leave the live heap within
    4 KB of the N-window run. *)
@@ -313,6 +330,7 @@ let () =
         [
           Alcotest.test_case "zero violations" `Quick test_soak_zero_violations;
           Alcotest.test_case "deterministic" `Quick test_soak_deterministic;
+          Alcotest.test_case "report pinned" `Quick test_soak_report_pinned;
           Alcotest.test_case "twice the windows, same live heap" `Quick test_soak_heap_flat;
         ] );
     ]

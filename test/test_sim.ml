@@ -1,5 +1,5 @@
 open Sim
-(* Tests for the discrete-event core: heap, engine, fibers, mailbox, rng,
+(* Tests for the discrete-event core: heap, engine, fibers, suspend, rng,
    stats. *)
 
 let check_int = Alcotest.(check int)
@@ -460,58 +460,59 @@ let test_fiber_ids_unique () =
   check_bool "distinct ids" true (Fiber.id a <> Fiber.id b)
 
 (* ------------------------------------------------------------------ *)
-(* Mailbox *)
+(* Suspend: a fiber blocked on a hand-stashed [resume], as a condition
+   variable or a CPU scheduler would block it *)
 
-let test_mailbox_fifo () =
+let test_suspend_resume_from_event () =
   let e = Engine.create () in
-  let mb = Mailbox.create () in
-  let got = ref [] in
+  let registered_at = ref (-1) and woke_at = ref (-1) in
   ignore
     (Fiber.spawn e (fun () ->
-         for _ = 1 to 3 do
-           got := Mailbox.recv mb :: !got
-         done));
+         Fiber.suspend (fun _ resume ->
+             registered_at := Engine.now e;
+             ignore (Engine.at e 42 resume));
+         woke_at := Engine.now e));
+  Engine.run e;
+  check_int "register ran at once" 0 !registered_at;
+  check_int "woke at resume time" 42 !woke_at
+
+let test_suspend_extra_resumes_ignored () =
+  let e = Engine.create () in
+  let wakes = ref [] in
   ignore
     (Fiber.spawn e (fun () ->
-         Mailbox.send mb 1;
-         Fiber.sleep 5;
-         Mailbox.send mb 2;
-         Mailbox.send mb 3));
+         Fiber.suspend (fun _ resume ->
+             ignore (Engine.at e 10 resume);
+             ignore (Engine.at e 20 resume));
+         wakes := Engine.now e :: !wakes;
+         (* The stale resume at 20 belongs to the first suspension and must
+            not end this one. *)
+         Fiber.suspend (fun _ resume -> ignore (Engine.at e 30 resume));
+         wakes := Engine.now e :: !wakes));
   Engine.run e;
-  Alcotest.(check (list int)) "fifo" [ 1; 2; 3 ] (List.rev !got)
+  Alcotest.(check (list int)) "one wake per suspension" [ 10; 30 ] (List.rev !wakes)
 
-let test_mailbox_blocks_until_send () =
+let test_suspend_wake_cleanup_once () =
   let e = Engine.create () in
-  let mb = Mailbox.create () in
-  let when_received = ref (-1) in
+  let cleanups = ref 0 and victim_cleanups = ref 0 and progressed = ref false in
   ignore
     (Fiber.spawn e (fun () ->
-         ignore (Mailbox.recv mb);
-         when_received := Engine.now e));
-  ignore (Engine.at e 42 (fun () -> Mailbox.send mb ()));
+         Fiber.suspend (fun fiber resume ->
+             Fiber.set_wake_cleanup fiber (fun () -> incr cleanups);
+             ignore (Engine.at e 5 resume);
+             ignore (Engine.at e 6 resume))));
+  let victim =
+    Fiber.spawn e (fun () ->
+        Fiber.suspend (fun fiber _resume ->
+            Fiber.set_wake_cleanup fiber (fun () -> incr victim_cleanups));
+        progressed := true)
+  in
+  ignore (Engine.at e 7 (fun () -> Fiber.kill victim));
   Engine.run e;
-  check_int "received at send time" 42 !when_received
-
-let test_mailbox_two_receivers () =
-  let e = Engine.create () in
-  let mb = Mailbox.create () in
-  let sum = ref 0 in
-  for _ = 1 to 2 do
-    ignore (Fiber.spawn e (fun () -> sum := !sum + Mailbox.recv mb))
-  done;
-  ignore
-    (Engine.at e 10 (fun () ->
-         Mailbox.send mb 3;
-         Mailbox.send mb 4));
-  Engine.run e;
-  check_int "both delivered" 7 !sum
-
-let test_mailbox_try_recv () =
-  let mb = Mailbox.create () in
-  check_bool "empty" true (Mailbox.try_recv mb = None);
-  Mailbox.send mb 9;
-  check_bool "full" true (Mailbox.try_recv mb = Some 9);
-  check_bool "empty again" true (Mailbox.is_empty mb)
+  check_int "cleanup once on resume" 1 !cleanups;
+  check_int "cleanup once on kill" 1 !victim_cleanups;
+  check_bool "killed fiber did not progress" false !progressed;
+  check_bool "victim dead" false (Fiber.alive victim)
 
 (* ------------------------------------------------------------------ *)
 (* Rng *)
@@ -666,12 +667,12 @@ let () =
           Alcotest.test_case "self name" `Quick test_fiber_self_name;
           Alcotest.test_case "unique ids" `Quick test_fiber_ids_unique;
         ] );
-      ( "mailbox",
+      ( "suspend",
         [
-          Alcotest.test_case "fifo" `Quick test_mailbox_fifo;
-          Alcotest.test_case "blocks until send" `Quick test_mailbox_blocks_until_send;
-          Alcotest.test_case "two receivers" `Quick test_mailbox_two_receivers;
-          Alcotest.test_case "try_recv" `Quick test_mailbox_try_recv;
+          Alcotest.test_case "resume from event" `Quick test_suspend_resume_from_event;
+          Alcotest.test_case "extra resumes ignored" `Quick
+            test_suspend_extra_resumes_ignored;
+          Alcotest.test_case "wake cleanup once" `Quick test_suspend_wake_cleanup_once;
         ] );
       ( "rng",
         [
