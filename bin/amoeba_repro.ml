@@ -1,7 +1,11 @@
-(* Command-line driver for the reproduction: run any experiment of the
-   paper's evaluation individually, with parameters. *)
+(* Command-line driver for the reproduction: regenerate the paper's
+   evaluation artifacts ([bench]), or run any one experiment individually,
+   with parameters. *)
 
 open Cmdliner
+
+(* --- flags shared by the subcommands; each is defined once, taking the
+   subcommand's default where those differ --- *)
 
 let impl_conv =
   let parse = function
@@ -18,6 +22,29 @@ let impl_arg =
     value
     & opt impl_conv Core.Cluster.User
     & info [ "impl" ] ~doc:"kernel | user | user-dedicated | optimized")
+
+let impls_arg =
+  Arg.(
+    value
+    & opt (some (list impl_conv)) None
+    & info [ "impls" ] ~docv:"IMPL,..."
+        ~doc:"Stacks to sweep (default kernel,user,optimized)")
+
+let stack_conv =
+  let parse s =
+    match Core.Cluster.stack_of_string s with
+    | Some st -> Ok st
+    | None -> Error (`Msg (Printf.sprintf "unknown stack %S" s))
+  in
+  Arg.conv
+    (parse, fun fmt s -> Format.pp_print_string fmt (Core.Cluster.stack_label s))
+
+let stacks_arg =
+  Arg.(
+    value
+    & opt (some (list stack_conv)) None
+    & info [ "stacks" ] ~docv:"STACK,..."
+        ~doc:"Stacks to sweep (default kernel,user,optimized,onesided)")
 
 let procs_arg =
   Arg.(value & opt int 8 & info [ "procs"; "p" ] ~doc:"Number of processors")
@@ -98,6 +125,126 @@ let policy_arg =
            single and batch only, and a $(b,seqcrash) fault needs a user \
            stack with a policy other than single; other combinations exit 2.")
 
+(* Seconds on the command line, simulated time inside. *)
+let seconds x = Sim.Time.us_f (x *. 1e6)
+
+let time_conv =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x -> Ok (seconds x)
+    | None -> Error (`Msg (Printf.sprintf "invalid duration %S, expected seconds" s))
+  in
+  Arg.conv (parse, fun fmt t -> Format.fprintf fmt "%g" (Sim.Time.to_sec t))
+
+let window_arg ?absent kind default =
+  Arg.(
+    value & opt kind default
+    & info [ "window" ] ?absent ~docv:"S" ~doc:"Measurement window, simulated seconds")
+
+let warmup_arg default =
+  Arg.(
+    value
+    & opt time_conv (seconds default)
+    & info [ "warmup" ] ~docv:"S" ~doc:"Warmup before the window, simulated seconds")
+
+let period_arg ?absent kind default =
+  Arg.(
+    value & opt kind default
+    & info [ "period" ] ?absent ~docv:"S" ~doc:"Diurnal cycle length, simulated seconds")
+
+let seed_arg =
+  Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Master seed for all RNG streams")
+
+let nodes_arg ?absent kind default =
+  Arg.(
+    value & opt kind default
+    & info [ "nodes" ] ?absent ~docv:"N"
+        ~doc:
+          "Cluster size in machines (8 per Ethernet segment; larger pools \
+           span segments behind a switch)")
+
+let clients_arg default =
+  Arg.(value & opt int default & info [ "clients" ] ~doc:"Client threads per client node")
+
+let rate_arg default =
+  Arg.(value & opt float default & info [ "rate" ] ~doc:"Peak aggregate arrival rate, ops/s")
+
+let floor_arg default =
+  Arg.(
+    value & opt float default
+    & info [ "floor" ] ~doc:"Trough rate as a fraction of the peak, in (0, 1]")
+
+let rates_arg =
+  Arg.(
+    value
+    & opt (some (list float)) None
+    & info [ "rates" ] ~docv:"R,..."
+        ~doc:"Offered-load ramp in aggregate ops/s (comma-separated)")
+
+let op_arg =
+  Arg.(
+    value
+    & opt (enum [ ("rpc", Load.Clients.Rpc); ("group", Load.Clients.Group) ]) Load.Clients.Rpc
+    & info [ "op" ] ~doc:"Operation under load: $(b,rpc) or $(b,group)")
+
+let mix_arg =
+  let mix_conv =
+    let parse s = Result.map_error (fun m -> `Msg m) (Load.Mix.parse s) in
+    Arg.conv (parse, fun fmt m -> Format.pp_print_string fmt (Load.Mix.to_string m))
+  in
+  Arg.(
+    value & opt mix_conv (Load.Mix.single 0)
+    & info [ "mix" ] ~docv:"SIZExW,..."
+        ~doc:"Weighted request-size mix in bytes, e.g. $(b,64x9,8192x1)")
+
+let checked_arg =
+  Arg.(
+    value & flag
+    & info [ "checked" ]
+        ~doc:
+          "Interpose the protocol-conformance checkers (at-most-once RPC, \
+           request/reply pairing, payload integrity, gap-free identical \
+           total order, the one-sided at-most-once CAS invariants); \
+           violations are printed and make the run exit nonzero.")
+
+let lanes_arg =
+  Arg.(
+    value & flag
+    & info [ "lanes" ]
+        ~doc:
+          "Shard each multi-segment cluster (more than one Ethernet \
+           segment, i.e. more than 8 machines) into conservative \
+           per-segment engine lanes with deterministic cross-lane merge. \
+           Laned runs are reproducible and bit-identical at every $(b,-j); \
+           they also match the unlaned engine exactly unless the workload \
+           produces same-instant cross-segment arrivals (heavy cluster \
+           cells), where only the deterministic tie-break order differs. \
+           Single-segment clusters always use the plain sequential \
+           engine.")
+
+let jobs_arg default =
+  Arg.(
+    value
+    & opt int default
+    & info [ "j"; "jobs" ]
+        ~doc:
+          "Run the experiment's independent simulations on $(docv) domains. \
+           The output is bit-identical for every value; 1 is the plain \
+           sequential path."
+        ~docv:"N")
+
+let obs_log_arg =
+  Arg.(
+    value & flag
+    & info [ "obs-log" ] ~doc:"Print the simulator's timestamped event log")
+
+let out_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "out" ] ~docv:"FILE"
+        ~doc:"Also dump every measured operating point to $(docv) as CSV")
+
 let reject msg =
   prerr_endline ("amoeba_repro: " ^ msg);
   exit 2
@@ -130,38 +277,6 @@ let check_stacks ?faults stacks =
     [ Panda.Seq_policy.Single ];
   if seq_crash faults && List.mem Core.Cluster.One_sided stacks then
     reject "seqcrash needs a sequencer: the one-sided stack has none"
-
-let lanes_arg =
-  Arg.(
-    value & flag
-    & info [ "lanes" ]
-        ~doc:
-          "Shard each multi-segment cluster (more than one Ethernet \
-           segment, i.e. more than 8 machines) into conservative \
-           per-segment engine lanes with deterministic cross-lane merge. \
-           Laned runs are reproducible and bit-identical at every $(b,-j); \
-           they also match the unlaned engine exactly unless the workload \
-           produces same-instant cross-segment arrivals (heavy cluster \
-           cells), where only the deterministic tie-break order differs. \
-           Single-segment clusters always use the plain sequential \
-           engine.")
-
-let jobs_arg =
-  Arg.(
-    value
-    & opt int 1
-    & info [ "j"; "jobs" ]
-        ~doc:
-          "Run the experiment's independent simulations on $(docv) domains. \
-           The output is bit-identical for every value; 1 (the default) is \
-           the plain sequential path."
-        ~docv:"N")
-
-(* [with_pool jobs f] runs [f ?pool] under a domain pool of [jobs]
-   workers; [jobs <= 1] passes no pool at all (the sequential path). *)
-let with_pool jobs f =
-  if jobs <= 1 then f ?pool:None ()
-  else Exec.Pool.with_pool ~jobs (fun p -> f ?pool:(Some p) ())
 
 (* CSV dumps for --out: one row per measured operating point, optionally
    prefixed by extra key columns (e.g. the tail grid's loss rate). *)
@@ -202,12 +317,57 @@ let write_csv path ~extra_columns rows =
         rows);
   Printf.printf "wrote %s (%d rows)\n" path (List.length rows)
 
-let out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "out" ] ~docv:"FILE"
-        ~doc:"Also dump every measured operating point to $(docv) as CSV")
+(* --- bench: every artifact of the evaluation --- *)
+
+let bench_cmd =
+  let artifacts_arg =
+    let names = List.map (fun a -> (a.Artifacts.name, a.Artifacts.name)) Artifacts.all in
+    Arg.(
+      value & pos_all (enum names) []
+      & info [] ~docv:"ARTIFACT"
+          ~doc:
+            ("Artifacts to regenerate, run in this order whatever the order \
+              given (default: all of them): "
+            ^ String.concat ", " (List.map fst names)))
+  in
+  let quick_arg =
+    Arg.(
+      value & flag
+      & info [ "quick" ]
+          ~doc:
+            "Shrink the larger artifacts to their smoke size (Table 3 at \
+             P in {1,8}, short load windows, the 64-node cluster grid)")
+  in
+  let json_arg =
+    Arg.(
+      value & flag
+      & info [ "json" ]
+          ~doc:
+            "Also write BENCH_results.json: each artifact's json section, and \
+             per-artifact wall seconds, simulated events, events/second and \
+             the pending-event high-water mark")
+  in
+  let run selected quick json net faults lanes jobs obs_log =
+    (* Every artifact runs the kernel stack under the single sequencer,
+       which survives no sequencer crash. *)
+    check_sequencer ?faults [ Core.Cluster.Kernel ] [ Panda.Seq_policy.Single ];
+    Core.Cluster.set_default_lanes lanes;
+    if obs_log then Obs.Log.set_enabled true;
+    if Artifacts.run ~json { Artifacts.jobs; quick; faults; net } selected > 0 then
+      exit 1
+  in
+  Cmd.v
+    (Cmd.info "bench"
+       ~doc:
+         "Regenerate the evaluation: Tables 1-3, the Sec. 4.2/4.3 \
+          breakdowns and this reproduction's own artifacts, with the paper's \
+          values alongside; exit 1 if any artifact finds a violation or an \
+          invalid result")
+    Term.(
+      const run $ artifacts_arg $ quick_arg $ json_arg $ profile_arg $ faults_arg
+      $ lanes_arg
+      $ jobs_arg (Exec.Pool.recommended ())
+      $ obs_log_arg)
 
 (* --- latency --- *)
 
@@ -224,11 +384,6 @@ let obs_arg =
   Arg.(
     value & flag
     & info [ "obs" ] ~doc:"Dump the recorded RPC run's cost ledger and statistics as CSV")
-
-let obs_log_arg =
-  Arg.(
-    value & flag
-    & info [ "obs-log" ] ~doc:"Print the simulator's timestamped event log")
 
 let latency_cmd =
   let run impl size net faults trace obs obs_log =
@@ -264,21 +419,6 @@ let latency_cmd =
       const run $ impl_arg $ size_arg $ profile_arg $ faults_arg $ trace_arg
       $ obs_arg $ obs_log_arg)
 
-(* --- throughput --- *)
-
-let throughput_cmd =
-  let run net jobs =
-    let profile = Core.Experiments.(with_net net default_profile) in
-    List.iter
-      (fun r ->
-        Printf.printf "%-6s user %6.0f KB/s   kernel %6.0f KB/s   optimized %6.0f KB/s\n"
-          r.Core.Experiments.tr_proto r.Core.Experiments.tr_user
-          r.Core.Experiments.tr_kernel r.Core.Experiments.tr_opt)
-      (with_pool jobs (fun ?pool () -> Core.Experiments.table2 ?pool ~profile ()))
-  in
-  Cmd.v (Cmd.info "throughput" ~doc:"Measure RPC and group throughput (Table 2)")
-    Term.(const run $ profile_arg $ jobs_arg)
-
 (* --- app --- *)
 
 let app_cmd =
@@ -290,16 +430,6 @@ let app_cmd =
   in
   let stats_arg =
     Arg.(value & flag & info [ "stats" ] ~doc:"Print protocol and utilization counters")
-  in
-  let checked_arg =
-    Arg.(
-      value & flag
-      & info [ "checked" ]
-          ~doc:
-            "Run with the protocol-conformance checkers interposed \
-             (at-most-once RPC, request/reply pairing, payload integrity, \
-             gap-free identical total order); violations are printed and \
-             make the run exit nonzero.")
   in
   let run app impl procs net faults checked stats lanes sequencer =
     check_sequencer ?faults [ impl ] [ sequencer ];
@@ -330,13 +460,10 @@ let fault_sweep_cmd =
   let app_arg =
     Arg.(value & opt string "tsp" & info [ "app" ] ~doc:"Application for the checked run")
   in
-  let seed_arg =
-    Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Master seed of the fault schedules")
-  in
   let run rates app procs net seed lanes jobs =
     Core.Cluster.set_default_lanes lanes;
     let rows =
-      with_pool jobs (fun ?pool () ->
+      Artifacts.with_pool jobs (fun ?pool () ->
           Core.Experiments.fault_sweep ?pool ~net ~rates ~app_name:app ~procs
             ~seed ())
     in
@@ -354,43 +481,11 @@ let fault_sweep_cmd =
           (checked mode; nonzero exit on any invariant violation)")
     Term.(
       const run $ rates_arg $ app_arg $ procs_arg $ profile_arg $ seed_arg
-      $ lanes_arg $ jobs_arg)
+      $ lanes_arg $ jobs_arg 1)
 
 (* --- load sweep --- *)
 
 let load_sweep_cmd =
-  let impls_arg =
-    Arg.(
-      value
-      & opt (some (list impl_conv)) None
-      & info [ "impls" ] ~docv:"IMPL,..."
-          ~doc:"Stacks to sweep (default kernel,user,optimized)")
-  in
-  let rates_arg =
-    Arg.(
-      value
-      & opt (some (list float)) None
-      & info [ "rates" ] ~docv:"R,..."
-          ~doc:"Offered-load ramp in aggregate ops/s (comma-separated)")
-  in
-  let nodes_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "nodes" ]
-          ~doc:"Cluster size in machines (default 4; 8 with $(b,--sequencer))")
-  in
-  let clients_arg =
-    Arg.(
-      value & opt int Load.Clients.default.Load.Clients.clients_per_node
-      & info [ "clients" ] ~doc:"Client threads per client node")
-  in
-  let op_arg =
-    Arg.(
-      value
-      & opt (enum [ ("rpc", Load.Clients.Rpc); ("group", Load.Clients.Group) ]) Load.Clients.Rpc
-      & info [ "op" ] ~doc:"Operation under load: $(b,rpc) or $(b,group)")
-  in
   let arrival_arg =
     let arrival_conv =
       let parse s = Result.map_error (fun m -> `Msg m) (Load.Arrival.parse s) in
@@ -405,28 +500,6 @@ let load_sweep_cmd =
              raised-cosine, period S seconds) or $(b,replay:FILE)[$(b,@SCALE)] \
              (trace replay; see the $(b,replay) command)")
   in
-  let mix_arg =
-    let mix_conv =
-      let parse s = Result.map_error (fun m -> `Msg m) (Load.Mix.parse s) in
-      Arg.conv (parse, fun fmt m -> Format.pp_print_string fmt (Load.Mix.to_string m))
-    in
-    Arg.(
-      value & opt mix_conv (Load.Mix.single 0)
-      & info [ "mix" ] ~docv:"SIZExW,..."
-          ~doc:"Weighted request-size mix in bytes, e.g. $(b,64x9,8192x1)")
-  in
-  let window_arg =
-    Arg.(
-      value & opt float 1.
-      & info [ "window" ] ~doc:"Measurement window, simulated seconds")
-  in
-  let warmup_arg =
-    Arg.(
-      value & opt float 0.25 & info [ "warmup" ] ~doc:"Warmup before the window, seconds")
-  in
-  let seed_arg =
-    Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Master seed of the client RNG streams")
-  in
   let seq_arg =
     Arg.(
       value
@@ -440,14 +513,6 @@ let load_sweep_cmd =
              policy modes ($(b,single) | $(b,batch)[:N] | $(b,rotate)[:N] | \
              $(b,shard)[:N] | $(b,failover), comma-separated, or $(b,all)) \
              the user stack's capacity is swept policy by policy.")
-  in
-  let checked_arg =
-    Arg.(
-      value & flag
-      & info [ "checked" ]
-          ~doc:
-            "Interpose the protocol-conformance checkers on every cell; \
-             violations are printed and make the run exit nonzero.")
   in
   let run impls rates nodes clients op arrival mix window warmup seed sequencer
       net faults checked out lanes jobs =
@@ -469,8 +534,8 @@ let load_sweep_cmd =
         mix;
         arrival;
         clients_per_node = clients;
-        warmup = Sim.Time.us_f (warmup *. 1e6);
-        window = Sim.Time.us_f (window *. 1e6);
+        warmup;
+        window;
         seed;
       }
     in
@@ -493,7 +558,7 @@ let load_sweep_cmd =
                Format.printf "%a@." Core.Experiments.pp_saturation_row row)
              rows;
            Format.printf "@.")
-         (with_pool jobs (fun ?pool () ->
+         (Artifacts.with_pool jobs (fun ?pool () ->
               Core.Experiments.sequencer_saturation ?pool ?faults ~checked ~net
                 ~nodes ~clients_per_node:clients ~config ?impls ()))
      | Some policies ->
@@ -513,7 +578,7 @@ let load_sweep_cmd =
                Format.printf "%a@." Core.Experiments.pp_policy_row (policy, row))
              rows;
            Format.printf "@.")
-         (with_pool jobs (fun ?pool () ->
+         (Artifacts.with_pool jobs (fun ?pool () ->
               Core.Experiments.sequencer_policy_sweep ?pool ?faults ~checked
                 ~net ~nodes ~clients_per_node:clients ~config ~impl ~policies ()))
      | None ->
@@ -525,7 +590,7 @@ let load_sweep_cmd =
                note_metrics m)
              curve.Load.Sweep.c_points;
            Format.printf "%a@.@." Load.Sweep.pp_curve curve)
-         (with_pool jobs (fun ?pool () ->
+         (Artifacts.with_pool jobs (fun ?pool () ->
               Core.Experiments.load_sweep ?pool ?faults ~checked ~net ~nodes
                 ~config ?rates ?impls ())));
     (match out with
@@ -547,18 +612,15 @@ let load_sweep_cmd =
           curves with tail percentiles and knee detection, or (with \
           $(b,--sequencer)) group-sender scaling until the sequencers saturate")
     Term.(
-      const run $ impls_arg $ rates_arg $ nodes_arg $ clients_arg $ op_arg
-      $ arrival_arg $ mix_arg $ window_arg $ warmup_arg $ seed_arg $ seq_arg
-      $ profile_arg $ faults_arg $ checked_arg $ out_arg $ lanes_arg $ jobs_arg)
+      const run $ impls_arg $ rates_arg
+      $ nodes_arg ~absent:"4; 8 with $(b,--sequencer)" Arg.(some int) None
+      $ clients_arg Load.Clients.default.Load.Clients.clients_per_node
+      $ op_arg $ arrival_arg $ mix_arg
+      $ window_arg time_conv (seconds 1.)
+      $ warmup_arg 0.25 $ seed_arg $ seq_arg $ profile_arg $ faults_arg
+      $ checked_arg $ out_arg $ lanes_arg $ jobs_arg 1)
 
 (* --- scenario: replay / tail-grid / soak / calibrate --- *)
-
-let mix_conv =
-  let parse s = Result.map_error (fun m -> `Msg m) (Load.Mix.parse s) in
-  Arg.conv (parse, fun fmt m -> Format.pp_print_string fmt (Load.Mix.to_string m))
-
-let seed_arg =
-  Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Master seed for all RNG streams")
 
 let replay_cmd =
   let gen_arg =
@@ -579,27 +641,11 @@ let replay_cmd =
             "Replay $(docv) against a cluster; with $(b,--gen FILE) and no \
              $(b,--trace), the generated trace is replayed directly")
   in
-  let rate_arg =
-    Arg.(
-      value & opt float 400.
-      & info [ "rate" ] ~doc:"Peak aggregate arrival rate for synthesis, ops/s")
-  in
   let duration_arg =
     Arg.(
-      value & opt float 2.
-      & info [ "duration" ] ~doc:"Synthesized trace length, seconds")
-  in
-  let period_arg =
-    Arg.(
       value
-      & opt (some float) None
-      & info [ "period" ]
-          ~doc:"Diurnal cycle of the synthesized ramp, seconds (default: the whole duration)")
-  in
-  let floor_arg =
-    Arg.(
-      value & opt float 0.1
-      & info [ "floor" ] ~doc:"Trough rate as a fraction of the peak, in (0, 1]")
+      & opt time_conv (seconds 2.)
+      & info [ "duration" ] ~docv:"S" ~doc:"Synthesized trace length, seconds")
   in
   let burst_arg =
     Arg.(
@@ -615,34 +661,12 @@ let replay_cmd =
              (higher offered load), > 1 stretches it"
         ~docv:"F")
   in
-  let mix_arg =
-    Arg.(
-      value & opt mix_conv (Load.Mix.single 0)
-      & info [ "mix" ] ~docv:"SIZExW,..."
-          ~doc:"Request-size mix drawn during synthesis, e.g. $(b,64x9,8192x1)")
-  in
-  let nodes_arg =
-    Arg.(value & opt int 4 & info [ "nodes" ] ~doc:"Cluster size in machines")
-  in
-  let clients_arg =
-    Arg.(
-      value & opt int Load.Clients.default.Load.Clients.clients_per_node
-      & info [ "clients" ] ~doc:"Client threads per client node")
-  in
-  let checked_arg =
-    Arg.(
-      value & flag
-      & info [ "checked" ]
-          ~doc:"Interpose the protocol-conformance checkers; violations exit nonzero")
-  in
   let run gen trace rate duration period floor burst_mult scale mix impl nodes
       clients checked seed net faults lanes =
     check_sequencer ?faults [ impl ] [ Panda.Seq_policy.Single ];
     Core.Cluster.set_default_lanes lanes;
     (match gen with
      | Some path ->
-       let duration = Sim.Time.us_f (duration *. 1e6) in
-       let period = Option.map (fun s -> Sim.Time.us_f (s *. 1e6)) period in
        let t =
          Load.Trace.synthesize ?period ~floor ~burst_mult ~mix ~rate ~duration
            ~seed ()
@@ -693,19 +717,14 @@ let replay_cmd =
           cluster: entries are dealt round-robin to the client population \
           and latency is measured from each request's scheduled trace time")
     Term.(
-      const run $ gen_arg $ trace_arg $ rate_arg $ duration_arg $ period_arg
-      $ floor_arg $ burst_arg $ scale_arg $ mix_arg $ impl_arg $ nodes_arg
-      $ clients_arg $ checked_arg $ seed_arg $ profile_arg $ faults_arg
-      $ lanes_arg)
+      const run $ gen_arg $ trace_arg $ rate_arg 400. $ duration_arg
+      $ period_arg ~absent:"the whole duration" Arg.(some time_conv) None
+      $ floor_arg 0.1 $ burst_arg $ scale_arg $ mix_arg $ impl_arg
+      $ nodes_arg Arg.int 4
+      $ clients_arg Load.Clients.default.Load.Clients.clients_per_node
+      $ checked_arg $ seed_arg $ profile_arg $ faults_arg $ lanes_arg)
 
 let tail_grid_cmd =
-  let impls_arg =
-    Arg.(
-      value
-      & opt (some (list impl_conv)) None
-      & info [ "impls" ] ~docv:"IMPL,..."
-          ~doc:"Stacks to grid (default kernel,user,optimized)")
-  in
   let losses_arg =
     Arg.(
       value
@@ -715,32 +734,11 @@ let tail_grid_cmd =
             "Frame-loss probabilities (default 0,0.001,0.01,0.03); a 0 \
              baseline column is added if omitted")
   in
-  let rates_arg =
-    Arg.(
-      value
-      & opt (some (list float)) None
-      & info [ "rates" ] ~docv:"R,..."
-          ~doc:"Offered loads in aggregate ops/s (default 200,800)")
-  in
-  let nodes_arg =
-    Arg.(value & opt int 4 & info [ "nodes" ] ~doc:"Cluster size in machines")
-  in
-  let window_arg =
-    Arg.(
-      value & opt float 1.
-      & info [ "window" ] ~doc:"Measurement window, simulated seconds")
-  in
   let run impls losses rates nodes window seed net out lanes jobs =
     Core.Cluster.set_default_lanes lanes;
-    let config =
-      {
-        Load.Clients.default with
-        Load.Clients.window = Sim.Time.us_f (window *. 1e6);
-        seed;
-      }
-    in
+    let config = { Load.Clients.default with Load.Clients.window; seed } in
     let cells =
-      with_pool jobs (fun ?pool () ->
+      Artifacts.with_pool jobs (fun ?pool () ->
           Core.Experiments.tail_grid ?pool ~net ~nodes ~config ?losses ?rates
             ?impls ())
     in
@@ -762,54 +760,15 @@ let tail_grid_cmd =
           p99/p99.9 tail amplification over the loss-free baseline — the \
           cost of the 200 ms retransmission timeout under loss")
     Term.(
-      const run $ impls_arg $ losses_arg $ rates_arg $ nodes_arg $ window_arg
-      $ seed_arg $ profile_arg $ out_arg $ lanes_arg $ jobs_arg)
+      const run $ impls_arg $ losses_arg $ rates_arg $ nodes_arg Arg.int 4
+      $ window_arg time_conv (seconds 1.)
+      $ seed_arg $ profile_arg $ out_arg $ lanes_arg $ jobs_arg 1)
 
 let soak_cmd =
-  let nodes_arg =
-    Arg.(value & opt int 4 & info [ "nodes" ] ~doc:"Cluster size in machines")
-  in
-  let op_arg =
-    Arg.(
-      value
-      & opt (enum [ ("rpc", Load.Clients.Rpc); ("group", Load.Clients.Group) ])
-          Load.Clients.Rpc
-      & info [ "op" ] ~doc:"Operation under load: $(b,rpc) or $(b,group)")
-  in
-  let rate_arg =
-    Arg.(
-      value & opt float Scenario.Soak.default.Scenario.Soak.sk_rate
-      & info [ "rate" ] ~doc:"Peak aggregate arrival rate, ops/s")
-  in
-  let period_arg =
-    Arg.(
-      value & opt float 2.
-      & info [ "period" ] ~doc:"Diurnal cycle length, seconds")
-  in
-  let floor_arg =
-    Arg.(
-      value & opt float Scenario.Soak.default.Scenario.Soak.sk_floor
-      & info [ "floor" ] ~doc:"Trough rate as a fraction of the peak, in (0, 1]")
-  in
-  let clients_arg =
-    Arg.(
-      value & opt int Scenario.Soak.default.Scenario.Soak.sk_clients_per_node
-      & info [ "clients" ] ~doc:"Client threads per client node")
-  in
-  let window_arg =
-    Arg.(
-      value & opt float 0.25
-      & info [ "window" ] ~doc:"Length of one report window, seconds")
-  in
   let windows_arg =
     Arg.(
       value & opt int Scenario.Soak.default.Scenario.Soak.sk_windows
       & info [ "windows" ] ~doc:"Number of consecutive report windows")
-  in
-  let mix_arg =
-    Arg.(
-      value & opt mix_conv (Load.Mix.single 0)
-      & info [ "mix" ] ~docv:"SIZExW,..." ~doc:"Weighted request-size mix")
   in
   let run impl nodes policy op rate period floor clients window windows mix
       seed net faults lanes =
@@ -824,11 +783,11 @@ let soak_cmd =
           sk_op = op;
           sk_mix = mix;
           sk_rate = rate;
-          sk_period = Sim.Time.us_f (period *. 1e6);
+          sk_period = period;
           sk_floor = floor;
           sk_clients_per_node = clients;
           sk_warmup = Scenario.Soak.default.Scenario.Soak.sk_warmup;
-          sk_window = Sim.Time.us_f (window *. 1e6);
+          sk_window = window;
           sk_windows = windows;
           sk_faults = faults;
           sk_net = Some net;
@@ -838,6 +797,7 @@ let soak_cmd =
     Format.printf "%a@." Scenario.Soak.pp_report report;
     if report.Scenario.Soak.r_violations > 0 then exit 1
   in
+  let d = Scenario.Soak.default in
   Cmd.v
     (Cmd.info "soak"
        ~doc:
@@ -845,9 +805,13 @@ let soak_cmd =
           sequencer crash, conformance checkers always on, one timeline row \
           per window; nonzero exit on any invariant violation")
     Term.(
-      const run $ impl_arg $ nodes_arg $ policy_arg $ op_arg $ rate_arg
-      $ period_arg $ floor_arg $ clients_arg $ window_arg $ windows_arg
-      $ mix_arg $ seed_arg $ profile_arg $ faults_arg $ lanes_arg)
+      const run $ impl_arg $ nodes_arg Arg.int 4 $ policy_arg $ op_arg
+      $ rate_arg d.Scenario.Soak.sk_rate
+      $ period_arg time_conv (seconds 2.)
+      $ floor_arg d.Scenario.Soak.sk_floor
+      $ clients_arg d.Scenario.Soak.sk_clients_per_node
+      $ window_arg time_conv (seconds 0.25)
+      $ windows_arg $ mix_arg $ seed_arg $ profile_arg $ faults_arg $ lanes_arg)
 
 let calibrate_cmd =
   let out_arg =
@@ -892,102 +856,23 @@ let calibrate_cmd =
           latency; $(b,--out) saves a profile file for $(b,--profile)")
     Term.(const run $ profile_arg $ name_arg $ out_arg)
 
-(* --- tables --- *)
-
-let table_cmd name doc term = Cmd.v (Cmd.info name ~doc) term
-
-let table1 net jobs =
-  let profile = Core.Experiments.(with_net net default_profile) in
-  List.iter
-    (fun r ->
-      Printf.printf
-        "%5d  uni %.2f  mcast %.2f  rpcU %.2f  rpcK %.2f  grpU %.2f  grpK %.2f  \
-         rpcO %.2f  grpO %.2f\n"
-        r.Core.Experiments.lr_size r.Core.Experiments.lr_unicast
-        r.Core.Experiments.lr_multicast r.Core.Experiments.lr_rpc_user
-        r.Core.Experiments.lr_rpc_kernel r.Core.Experiments.lr_grp_user
-        r.Core.Experiments.lr_grp_kernel r.Core.Experiments.lr_rpc_opt
-        r.Core.Experiments.lr_grp_opt)
-    (with_pool jobs (fun ?pool () -> Core.Experiments.table1 ?pool ~profile ()))
-
-let breakdown jobs =
-  with_pool jobs (fun ?pool () ->
-      List.iter
-        (fun (l, v) -> Printf.printf "rpc: %-40s %7.1f us\n" l v)
-        (Core.Experiments.rpc_breakdown ?pool ());
-      List.iter
-        (fun (l, v) -> Printf.printf "grp: %-40s %7.1f us\n" l v)
-        (Core.Experiments.group_breakdown ?pool ());
-      let rpc_m, grp_m = Core.Experiments.measured_breakdown ?pool () in
-      List.iter
-        (fun (l, v) -> Printf.printf "rpc measured: %-40s %7.1f us\n" l v)
-        rpc_m;
-      List.iter
-        (fun (l, v) -> Printf.printf "grp measured: %-40s %7.1f us\n" l v)
-        grp_m;
-      let rpc_o, grp_o = Core.Experiments.optimized_breakdown ?pool () in
-      Format.printf "@[<v>optimized rpc:@,%a@]@." Core.Experiments.pp_opt_breakdown rpc_o;
-      Format.printf "@[<v>optimized grp:@,%a@]@." Core.Experiments.pp_opt_breakdown grp_o)
-
 (* --- DHT and the one-sided crossover --- *)
 
-let stack_conv =
-  let parse s =
-    match Core.Cluster.stack_of_string s with
-    | Some st -> Ok st
-    | None -> Error (`Msg (Printf.sprintf "unknown stack %S" s))
-  in
-  Arg.conv
-    (parse, fun fmt s -> Format.pp_print_string fmt (Core.Cluster.stack_label s))
-
-let dht_window_arg =
-  Arg.(
-    value & opt float 0.5
-    & info [ "window" ] ~doc:"Measurement window, simulated seconds")
-
-let dht_warmup_arg =
-  Arg.(
-    value & opt float 0.1
-    & info [ "warmup" ] ~doc:"Warmup before the window, seconds")
-
-let dht_clients_arg =
-  Arg.(value & opt int 2 & info [ "clients" ] ~doc:"Client threads per client node")
-
-let dht_nodes_arg =
-  Arg.(value & opt int 4 & info [ "nodes" ] ~doc:"Cluster size in machines")
-
-let dht_reads_arg =
+let reads_arg =
   Arg.(
     value
     & opt (list int) [ 90 ]
     & info [ "reads" ] ~docv:"PCT,..."
         ~doc:"Get share(s) of the Zipf get/put mix, percent")
 
-let dht_seed_arg =
-  Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Master seed of the client RNG streams")
-
-let checked_flag =
-  Arg.(
-    value & flag
-    & info [ "checked" ]
-        ~doc:
-          "Interpose the protocol-conformance checkers (including the \
-           one-sided at-most-once CAS invariants); violations make the \
-           run exit nonzero.")
-
 let dht_config ~clients ~warmup ~window ~seed =
   {
     Load.Clients.default with
     Load.Clients.clients_per_node = clients;
-    warmup = Sim.Time.us_f (warmup *. 1e6);
-    window = Sim.Time.us_f (window *. 1e6);
+    warmup;
+    window;
     seed;
   }
-
-let xcell_violations c =
-  c.Core.Experiments.xc_dht_violations
-  + c.Core.Experiments.xc_latency.Load.Metrics.violations
-  + c.Core.Experiments.xc_capacity.Load.Metrics.violations
 
 let dht_cmd =
   let stack_arg =
@@ -1002,12 +887,12 @@ let dht_cmd =
     Core.Cluster.set_default_lanes lanes;
     let config = dht_config ~clients ~warmup ~window ~seed in
     let cells =
-      with_pool jobs (fun ?pool () ->
+      Artifacts.with_pool jobs (fun ?pool () ->
           Core.Experiments.onesided_crossover ?pool ?faults ~checked
             ~nets:[ net ] ~stacks:[ stack ] ~read_pcts:reads ~nodes ~config ())
     in
     List.iter (fun c -> Format.printf "%a@." Core.Experiments.pp_xcell c) cells;
-    if List.exists (fun c -> xcell_violations c > 0) cells then exit 1
+    if List.exists (fun c -> Artifacts.xcell_violations c > 0) cells then exit 1
   in
   Cmd.v
     (Cmd.info "dht"
@@ -1016,9 +901,10 @@ let dht_cmd =
           network era (a crossover cell): latency probe plus closed-loop \
           capacity, with the ledger partition and coherence checks")
     Term.(
-      const run $ stack_arg $ dht_reads_arg $ dht_nodes_arg $ dht_clients_arg
-      $ dht_window_arg $ dht_warmup_arg $ dht_seed_arg $ profile_arg
-      $ faults_arg $ checked_flag $ lanes_arg $ jobs_arg)
+      const run $ stack_arg $ reads_arg $ nodes_arg Arg.int 4 $ clients_arg 2
+      $ window_arg time_conv (seconds 0.5)
+      $ warmup_arg 0.1 $ seed_arg $ profile_arg $ faults_arg $ checked_arg
+      $ lanes_arg $ jobs_arg 1)
 
 let crossover_cmd =
   let nets_arg =
@@ -1028,20 +914,13 @@ let crossover_cmd =
       & info [ "profiles" ] ~docv:"ERA,..."
           ~doc:"Network eras to sweep (default net10m,net100m,net1g)")
   in
-  let stacks_arg =
-    Arg.(
-      value
-      & opt (some (list stack_conv)) None
-      & info [ "stacks" ] ~docv:"STACK,..."
-          ~doc:"Stacks to compare (default kernel,user,optimized,onesided)")
-  in
   let run nets stacks reads nodes clients window warmup seed faults checked
       lanes jobs =
     check_stacks ?faults (Option.value stacks ~default:Core.Cluster.all_stacks);
     Core.Cluster.set_default_lanes lanes;
     let config = dht_config ~clients ~warmup ~window ~seed in
     let cells =
-      with_pool jobs (fun ?pool () ->
+      Artifacts.with_pool jobs (fun ?pool () ->
           Core.Experiments.onesided_crossover ?pool ?faults ~checked ?nets
             ?stacks ~read_pcts:reads ~nodes ~config ())
     in
@@ -1050,7 +929,7 @@ let crossover_cmd =
     List.iter
       (fun r -> Format.printf "%a@." Core.Experiments.pp_crossover_row r)
       (Core.Experiments.crossover_summary cells);
-    if List.exists (fun c -> xcell_violations c > 0) cells then exit 1
+    if List.exists (fun c -> Artifacts.xcell_violations c > 0) cells then exit 1
   in
   Cmd.v
     (Cmd.info "crossover"
@@ -1059,9 +938,11 @@ let crossover_cmd =
           RPC-vs-one-sided capacity crossover with its ledger-differential \
           mechanism")
     Term.(
-      const run $ nets_arg $ stacks_arg $ dht_reads_arg $ dht_nodes_arg
-      $ dht_clients_arg $ dht_window_arg $ dht_warmup_arg $ dht_seed_arg
-      $ faults_arg $ checked_flag $ lanes_arg $ jobs_arg)
+      const run $ nets_arg $ stacks_arg $ reads_arg $ nodes_arg Arg.int 4
+      $ clients_arg 2
+      $ window_arg time_conv (seconds 0.5)
+      $ warmup_arg 0.1 $ seed_arg $ faults_arg $ checked_arg $ lanes_arg
+      $ jobs_arg 1)
 
 (* --- cluster scale --- *)
 
@@ -1077,22 +958,6 @@ let skew_conv =
   Arg.conv (parse, fun fmt k -> Format.pp_print_string fmt (Load.Keys.skew_label k))
 
 let cluster_cmd =
-  let nodes_arg =
-    Arg.(
-      value
-      & opt (list int) Core.Experiments.cluster_nodes
-      & info [ "nodes" ] ~docv:"N,..."
-          ~doc:
-            "Pool sizes to sweep, machines (multi-segment: 8 per Ethernet \
-             segment behind the switch).  64-512 are the intended scales.")
-  in
-  let stacks_arg =
-    Arg.(
-      value
-      & opt (some (list stack_conv)) None
-      & info [ "stacks" ] ~docv:"STACK,..."
-          ~doc:"Stacks to sweep (default kernel,user,optimized,onesided)")
-  in
   let skews_arg =
     Arg.(
       value
@@ -1102,13 +967,6 @@ let cluster_cmd =
             "Key popularity skews: $(b,uniform) or $(b,zipf:THETA) \
              (default uniform,zipf:0.99)")
   in
-  let rates_arg =
-    Arg.(
-      value
-      & opt (some (list float)) None
-      & info [ "rates" ] ~docv:"R,..."
-          ~doc:"Open-loop offered-load ramp, aggregate ops/s (default 2000,4000,8000)")
-  in
   let shards_arg =
     Arg.(value & opt int 32 & info [ "shards" ] ~doc:"Shards in the key space")
   in
@@ -1117,11 +975,6 @@ let cluster_cmd =
       value & opt int 1
       & info [ "replicas" ]
           ~doc:"Copies per shard (primary + backups; one-sided runs force 1)")
-  in
-  let window_arg =
-    Arg.(
-      value & opt (some float) None
-      & info [ "window" ] ~doc:"Measurement window, simulated seconds (default 0.4)")
   in
   let rebalance_arg =
     Arg.(
@@ -1135,7 +988,7 @@ let cluster_cmd =
   let force_arg =
     Arg.(
       value
-      & opt (list float) []
+      & opt (list time_conv) []
       & info [ "force-migrate" ] ~docv:"T,..."
           ~doc:
             "Simulated seconds at which the rebalancer must issue a \
@@ -1152,9 +1005,6 @@ let cluster_cmd =
              rebalancer, reporting the achieved-throughput delta \
              attributable to object migration.")
   in
-  let seed_arg =
-    Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Master seed of the client RNG streams")
-  in
   let run nodes stacks skews rates shards replicas window seed rebalance forced
       ab net faults checked lanes jobs =
     check_stacks ?faults (Option.value stacks ~default:Core.Experiments.cluster_stacks);
@@ -1165,34 +1015,24 @@ let cluster_cmd =
         Some
           {
             Core.Experiments.cluster_ab_rebalance with
-            Shard.Rebalancer.rb_forced =
-              List.map (fun t -> Sim.Time.us_f (t *. 1e6)) forced;
+            Shard.Rebalancer.rb_forced = forced;
           }
+    in
+    (* --window overrides the configuration's own window. *)
+    let config (base : Load.Clients.config) =
+      { base with Load.Clients.window = Option.value window ~default:base.window; seed }
     in
     let violations = ref 0 in
-    let count c =
-      violations :=
-        !violations + c.Core.Experiments.cc_service_viol
-        + c.Core.Experiments.cc_metrics.Load.Metrics.violations
-    in
+    let count c = violations := !violations + Artifacts.ccell_violations c in
     if ab then begin
-      let config =
-        match window with
-        | None -> { Core.Experiments.cluster_ab_config with Load.Clients.seed }
-        | Some w ->
-          {
-            Core.Experiments.cluster_ab_config with
-            Load.Clients.window = Sim.Time.us_f (w *. 1e6);
-            seed;
-          }
-      in
       let nodes = List.nth_opt nodes 0 in
       let stack = Option.bind stacks (fun s -> List.nth_opt s 0) in
       let skew = List.nth_opt skews 0 in
       let static, rebal =
-        with_pool jobs (fun ?pool () ->
+        Artifacts.with_pool jobs (fun ?pool () ->
             Core.Experiments.cluster_migration_ab ?pool ?faults ~checked ~net
-              ~lanes ~shards ~replicas ?rebalance ?nodes ?stack ?skew ~config ())
+              ~lanes ~shards ~replicas ?rebalance ?nodes ?stack ?skew
+              ~config:(config Core.Experiments.cluster_ab_config) ())
       in
       count static;
       count rebal;
@@ -1204,17 +1044,7 @@ let cluster_cmd =
         (100. *. (b -. a) /. a)
         rebal.Core.Experiments.cc_migrations
     end
-    else begin
-      let config =
-        match window with
-        | None -> { Core.Experiments.cluster_default_config with Load.Clients.seed }
-        | Some w ->
-          {
-            Core.Experiments.cluster_default_config with
-            Load.Clients.window = Sim.Time.us_f (w *. 1e6);
-            seed;
-          }
-      in
+    else
       List.iter
         (fun ((n, stack, skew), cells, knee) ->
           Format.printf "-- %d nodes  %s  %s@." n
@@ -1226,11 +1056,10 @@ let cluster_cmd =
               Format.printf "%a@." Core.Experiments.pp_ccell c)
             cells;
           Format.printf "   knee: %a@.@." Core.Experiments.pp_knee knee)
-        (with_pool jobs (fun ?pool () ->
+        (Artifacts.with_pool jobs (fun ?pool () ->
              Core.Experiments.cluster_sweep ?pool ?faults ~checked ~net ~lanes
                ~shards ~replicas ?rebalance ~nodes ?stacks ~skews ?rates
-               ~config ()))
-    end;
+               ~config:(config Core.Experiments.cluster_default_config) ()));
     if !violations > 0 then begin
       Printf.eprintf "cluster: %d conformance violations\n" !violations;
       exit 1
@@ -1245,9 +1074,12 @@ let cluster_cmd =
           ($(b,--rebalance), $(b,--force-migrate)) and the placement A/B \
           ($(b,--migration-ab))")
     Term.(
-      const run $ nodes_arg $ stacks_arg $ skews_arg $ rates_arg $ shards_arg
-      $ replicas_arg $ window_arg $ seed_arg $ rebalance_arg $ force_arg
-      $ ab_arg $ profile_arg $ faults_arg $ checked_flag $ lanes_arg $ jobs_arg)
+      const run
+      $ nodes_arg Arg.(list int) Core.Experiments.cluster_nodes
+      $ stacks_arg $ skews_arg $ rates_arg $ shards_arg $ replicas_arg
+      $ window_arg ~absent:"0.4; 1.5 with $(b,--migration-ab)" Arg.(some time_conv) None
+      $ seed_arg $ rebalance_arg $ force_arg $ ab_arg $ profile_arg
+      $ faults_arg $ checked_arg $ lanes_arg $ jobs_arg 1)
 
 let default =
   Term.(ret (const (`Help (`Pager, None))))
@@ -1263,8 +1095,8 @@ let () =
     (Cmd.eval
        (Cmd.group ~default info
           [
+            bench_cmd;
             latency_cmd;
-            throughput_cmd;
             app_cmd;
             fault_sweep_cmd;
             load_sweep_cmd;
@@ -1275,8 +1107,4 @@ let () =
             dht_cmd;
             crossover_cmd;
             cluster_cmd;
-            table_cmd "table1" "Regenerate Table 1 (latencies)"
-              Term.(const table1 $ profile_arg $ jobs_arg);
-            table_cmd "breakdown" "Regenerate the Sec. 4 overhead breakdowns"
-              Term.(const breakdown $ jobs_arg);
           ]))

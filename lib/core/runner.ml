@@ -101,7 +101,8 @@ let run ?faults ?checked ?net ?lanes ?(sequencer = Panda.Seq_policy.Single)
   Sim.Engine.run cluster.Cluster.eng;
   let verdict = Cell.finish cell in
   let checksum = result () in
-  let until = max 1 !finish in
+  (* Busy time accrues until the engine drains, past the last worker. *)
+  let until = max 1 (Sim.Engine.latest cluster.Cluster.eng) in
   let stats =
     {
       s_broadcasts = Orca.Rts.broadcasts dom;

@@ -4,20 +4,6 @@
    are emitted in begin order, tracks in first-use order, counters and series
    sorted by name, and no wall-clock data is included. *)
 
-let json_escape buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
-
 (* Fiber tracks carry a "#<fiber id>" suffix to keep them unique, but fiber
    ids are a process-global counter, so they vary between identical runs in
    one process.  Display names drop the suffix (disambiguating duplicates
@@ -66,7 +52,7 @@ let chrome_trace_buf buf t =
         (Printf.sprintf
            "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":%d,\
             \"args\":{\"name\":\"" i);
-      json_escape buf name;
+      Json.escape buf name;
       Buffer.add_string buf "\"}}")
     (display_names tracks);
   List.iter
@@ -76,7 +62,7 @@ let chrome_trace_buf buf t =
       let ts = float_of_int sp.sp_begin /. 1_000. in
       let dur = float_of_int (sp_end - sp.sp_begin) /. 1_000. in
       Buffer.add_string buf "{\"name\":\"";
-      json_escape buf sp.sp_name;
+      Json.escape buf sp.sp_name;
       Buffer.add_string buf
         (Printf.sprintf
            "\",\"cat\":\"%s\",\"ph\":\"X\",\"pid\":0,\"tid\":%d,\

@@ -112,6 +112,7 @@ let create ?(wheel = true) ?(wheel_near = default_wheel_near) () =
   }
 
 let now t = t.clock
+let latest t = Array.fold_left (fun c l -> max c l.l_clock) t.clock t.lanes
 
 let fresh_id t =
   t.next_id <- t.next_id + 1;

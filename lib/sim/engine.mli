@@ -41,6 +41,9 @@ val create : ?wheel:bool -> ?wheel_near:Time.span -> unit -> t
 val now : t -> Time.t
 (** Current simulated time (of the executing lane). *)
 
+val latest : t -> Time.t
+(** The latest clock of any lane: once {!run} drains, its last event's time. *)
+
 val fresh_id : t -> int
 (** A small unique id scoped to this engine (1, 2, 3, ...).  Layers that
     need simulation-unique identifiers (e.g. FLIP addresses) draw from

@@ -10,8 +10,6 @@
    lazily; when dead entries outnumber live ones the heap is compacted in
    place with a bottom-up heapify. *)
 
-exception Empty
-
 type handle = int
 
 (* Handle layout: [gen | slot] with [slot_bits] low bits of slot index.
@@ -53,8 +51,8 @@ let link_free t lo hi =
   t.times.(hi) <- t.free_head;
   t.free_head <- lo
 
-let create ?(capacity = 64) ~dummy () =
-  let capacity = max 8 capacity in
+let create ~dummy () =
+  let capacity = 64 in
   let t =
     {
       dummy;
@@ -161,10 +159,6 @@ let rec prune t =
     prune t
   end
 
-let is_empty t =
-  prune t;
-  t.len = 0
-
 (* Pop the root, which the caller has just pruned to a live entry. *)
 let pop_next t =
   let s = pop_top t in
@@ -173,17 +167,12 @@ let pop_next t =
   free_slot t s;
   v
 
-let pop_min_exn t =
-  prune t;
-  if t.len = 0 then raise Empty;
-  pop_next t
-
 let pop t =
   prune t;
   if t.len = 0 then None
   else begin
     let time = t.times.(t.heap.(0)) in
-    Some (time, pop_min_exn t)
+    Some (time, pop_next t)
   end
 
 let next_time t =

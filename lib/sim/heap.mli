@@ -18,9 +18,7 @@ type handle = int
     fired or was collected is harmless.  Exposed as a plain int so the
     engine can pack lane/kind bits above it (54-bit payload). *)
 
-exception Empty
-
-val create : ?capacity:int -> dummy:'a -> unit -> 'a t
+val create : dummy:'a -> unit -> 'a t
 (** [create ~dummy ()] is an empty heap.  [dummy] fills vacated value cells
     (it is never returned); pass any value of the element type. *)
 
@@ -38,13 +36,6 @@ val push_seq : 'a t -> time:Time.t -> seq:int -> 'a -> handle
 val pop : 'a t -> (Time.t * 'a) option
 (** [pop h] removes and returns the earliest live event, skipping cancelled
     ones, or [None] if the heap holds no live event. *)
-
-val is_empty : 'a t -> bool
-(** No live event remains (discards cancelled entries at the top). *)
-
-val pop_min_exn : 'a t -> 'a
-(** Removes and returns the earliest live event without allocating.
-    @raise Empty if none. *)
 
 val next_time : 'a t -> Time.t
 (** [next_time h] is the timestamp of the earliest live event, or [max_int]

@@ -226,6 +226,37 @@ let test_recording_is_zero_cost () =
   let again = Core.Experiments.rpc_latency ~impl:`User ~size:0 () in
   Alcotest.(check (float 0.)) "latency unchanged by recording" unrecorded again
 
+(* ---------- json ---------- *)
+
+let test_json_escaping () =
+  check_string "escapes"
+    {|"q\" b\\ n\n t\t c\u0001"|}
+    (Obs.Json.to_string (Obs.Json.String "q\" b\\ n\n t\t c\001"))
+
+let test_json_members () =
+  check_string "flat object"
+    {|{"k": 1, "x": 0.5, "s": "v", "b": true, "n": null}|}
+    Obs.Json.(
+      to_string
+        (Obj
+           [
+             ("k", Int 1); ("x", Float 0.5); ("s", String "v"); ("b", Bool true);
+             ("n", Null);
+           ]))
+
+let prop_json_floats_read_back =
+  QCheck.Test.make ~name:"finite floats read back exactly" ~count:2000
+    QCheck.(
+      oneof
+        [
+          float;
+          float_range (-1e6) 1e6;
+          map (fun n -> float_of_int n /. 1000.) int;
+        ])
+    (fun x ->
+      QCheck.assume (Float.is_finite x);
+      float_of_string (Obs.Json.to_string (Obs.Json.Float x)) = x)
+
 let () =
   Alcotest.run "obs"
     [
@@ -248,6 +279,12 @@ let () =
         [
           Alcotest.test_case "deterministic" `Quick test_export_determinism;
           Alcotest.test_case "chrome trace shape" `Quick test_chrome_trace_shape;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "escaping" `Quick test_json_escaping;
+          Alcotest.test_case "members" `Quick test_json_members;
+          QCheck_alcotest.to_alcotest prop_json_floats_read_back;
         ] );
       ( "breakdown",
         [
