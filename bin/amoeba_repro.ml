@@ -70,17 +70,17 @@ let profile_conv =
   Arg.conv
     (parse, fun fmt p -> Format.pp_print_string fmt p.Core.Params.np_name)
 
-let profile_arg =
-  Arg.(
-    value
-    & opt profile_conv Core.Params.net10m
-    & info [ "profile" ] ~docv:"ERA"
-        ~doc:
-          "Network era the cluster is built on: $(b,net10m) (the paper's \
-           10 Mbit/s Ethernet, the default), $(b,net100m), $(b,net1g) or \
-           $(b,net10g) — or the path of a profile file written by \
-           $(b,calibrate --out).  Machine and protocol costs stay at their \
-           1995 values; only wire, switch and NIC constants change.")
+let profile_doc =
+  "Network era the cluster is built on: $(b,net10m) (the paper's 10 Mbit/s \
+   Ethernet, the default), $(b,net100m), $(b,net1g) or $(b,net10g) — or the \
+   path of a profile file written by $(b,calibrate --out).  Machine and \
+   protocol costs stay at their 1995 values; only wire, switch and NIC \
+   constants change."
+
+let profile_arg_doc doc =
+  Arg.(value & opt profile_conv Core.Params.net10m & info [ "profile" ] ~docv:"ERA" ~doc)
+
+let profile_arg = profile_arg_doc profile_doc
 
 let size_arg = Arg.(value & opt int 0 & info [ "size" ] ~doc:"Message payload bytes")
 
@@ -351,6 +351,14 @@ let bench_cmd =
     (* Every artifact runs the kernel stack under the single sequencer,
        which survives no sequencer crash. *)
     check_sequencer ?faults [ Core.Cluster.Kernel ] [ Panda.Seq_policy.Single ];
+    if faults <> None then begin
+      match List.filter (fun a -> a.Artifacts.fault_free) (Artifacts.chosen selected) with
+      | [] -> ()
+      | refused ->
+        reject
+          (Printf.sprintf "--faults: %s run fault-free by design; name only other artifacts"
+             (String.concat ", " (List.map (fun a -> a.Artifacts.name) refused)))
+    end;
     Core.Cluster.set_default_lanes lanes;
     if obs_log then Obs.Log.set_enabled true;
     if Artifacts.run ~json { Artifacts.jobs; quick; faults; net } selected > 0 then
@@ -364,7 +372,12 @@ let bench_cmd =
           values alongside; exit 1 if any artifact finds a violation or an \
           invalid result")
     Term.(
-      const run $ artifacts_arg $ quick_arg $ json_arg $ profile_arg $ faults_arg
+      const run $ artifacts_arg $ quick_arg $ json_arg
+      $ profile_arg_doc
+          (profile_doc
+         ^ "  The $(b,onesided) artifact sweeps its own eras and $(b,engine) \
+            builds no network, so both ignore it.")
+      $ faults_arg
       $ lanes_arg
       $ jobs_arg (Exec.Pool.recommended ())
       $ obs_log_arg)
@@ -388,20 +401,17 @@ let obs_arg =
 let latency_cmd =
   let run impl size net faults trace obs obs_log =
     check_sequencer ?faults [ impl ] [ Panda.Seq_policy.Single ];
+    if impl = Core.Cluster.User_dedicated then
+      reject
+        "latency runs on two machines, with no third one for a dedicated \
+         sequencer: run user-dedicated with app leq";
     if obs_log then Obs.Log.set_enabled true;
-    let impl2 =
-      match impl with
-      | Core.Cluster.Kernel -> `Kernel
-      | Core.Cluster.User_optimized -> `Opt
-      | _ -> `User
-    in
-    let profile = Core.Experiments.(with_net net default_profile) in
     Printf.printf "RPC   %-6s %5d B: %.3f ms\n" (Core.Cluster.impl_label impl) size
-      (Core.Experiments.rpc_latency ?faults ~profile ~impl:impl2 ~size ());
+      (Core.Experiments.rpc_latency ?faults ~net ~impl ~size ());
     Printf.printf "group %-6s %5d B: %.3f ms\n" (Core.Cluster.impl_label impl) size
-      (Core.Experiments.group_latency ?faults ~profile ~impl:impl2 ~size ());
+      (Core.Experiments.group_latency ?faults ~net ~impl ~size ());
     if trace <> None || obs then begin
-      let r, _busy = Core.Experiments.recorded_rpc ~impl:impl2 ~size () in
+      let r, _busy = Core.Experiments.recorded_rpc ~net ~impl ~size () in
       (match trace with
        | Some file -> (
          try

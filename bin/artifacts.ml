@@ -14,6 +14,7 @@ type ctx = {
 type t = {
   name : string;
   has_quick : bool;  (* [--quick] shrinks it, and its timing is NAME-quick *)
+  fault_free : bool;  (* runs without faults by design, so [--faults] is refused *)
   run : ctx -> Obs.Json.t option * int;
 }
 
@@ -69,10 +70,9 @@ let table1 c =
     "%6s  %-14s %-14s %-14s %-14s %-14s %-14s %-9s %-9s\n"
     "size" "unicast/user" "mcast/user" "RPC/user" "RPC/kernel" "group/user"
     "group/kernel" "RPC/opt" "group/opt";
-  let profile = Core.Experiments.(with_net c.net default_profile) in
   let rows =
     with_pool c.jobs (fun ?pool () ->
-        Core.Experiments.table1 ?pool ?faults:c.faults ~profile ())
+        Core.Experiments.table1 ?pool ?faults:c.faults ~net:c.net ())
   in
   List.iter2
     (fun r (_, (pu, pm, pru, prk, pgu, pgk)) ->
@@ -90,7 +90,6 @@ let table2 c =
   hr
     "Table 2: communication throughputs [KB/s] (paper values in parentheses; \
      optimized column is this reproduction's own)";
-  let profile = Core.Experiments.(with_net c.net default_profile) in
   let paper = [ ("RPC", (825., 897.)); ("group", (941., 941.)) ] in
   List.iter2
     (fun r (_, (pu, pk)) ->
@@ -99,7 +98,7 @@ let table2 c =
         r.Core.Experiments.tr_proto r.Core.Experiments.tr_user pu
         r.Core.Experiments.tr_kernel pk r.Core.Experiments.tr_opt)
     (with_pool c.jobs (fun ?pool () ->
-         Core.Experiments.table2 ?pool ?faults:c.faults ~profile ()))
+         Core.Experiments.table2 ?pool ?faults:c.faults ~net:c.net ()))
     paper;
   (None, 0)
 
@@ -171,9 +170,10 @@ let table3 c =
   (None, !invalid)
 
 let breakdown c =
+  let net = c.net in
   with_pool c.jobs (fun ?pool () ->
-      let rpc_analytic = Core.Experiments.rpc_breakdown ?pool () in
-      let grp_analytic = Core.Experiments.group_breakdown ?pool () in
+      let rpc_analytic = Core.Experiments.rpc_breakdown ?pool ~net () in
+      let grp_analytic = Core.Experiments.group_breakdown ?pool ~net () in
       hr "RPC null-latency gap breakdown [us] (paper, Sec. 4.2)";
       let paper =
         [
@@ -204,7 +204,7 @@ let breakdown c =
           Printf.printf "  %-48s %6.0f (paper's differential ~%4.0f)\n" label v pv)
         grp_analytic paper;
       hr "Measured accounting from the cost ledger [us/round] (Sec. 4.2/4.3 re-derived)";
-      let rpc_measured, grp_measured = Core.Experiments.measured_breakdown ?pool () in
+      let rpc_measured, grp_measured = Core.Experiments.measured_breakdown ?pool ~net () in
       let print_side analytic rows =
         List.iter
           (fun (label, v) ->
@@ -225,7 +225,8 @@ let breakdown c =
 let optimized c =
   hr "Optimized user-space stack: null-latency differential vs. baseline";
   let rpc_o, grp_o =
-    with_pool c.jobs (fun ?pool () -> Core.Experiments.optimized_breakdown ?pool ())
+    with_pool c.jobs (fun ?pool () ->
+        Core.Experiments.optimized_breakdown ?pool ~net:c.net ())
   in
   Format.printf "@[<v>optimized rpc:@,%a@]@." Core.Experiments.pp_opt_breakdown
     rpc_o;
@@ -640,27 +641,28 @@ let scenario c =
     violations )
 
 let ablation c =
+  let net = c.net in
   with_pool c.jobs (fun ?pool () ->
       hr "Ablation: dedicated sequencer for LEQ [s]";
       List.iter
         (fun o -> Format.printf "  %a@." Core.Runner.pp_outcome o)
-        (Core.Experiments.ablation_dedicated_sequencer ?pool ~procs:[ 8; 16; 32 ] ());
+        (Core.Experiments.ablation_dedicated_sequencer ?pool ~net ~procs:[ 8; 16; 32 ] ());
       hr "Ablation: nonblocking broadcast (paper Sec. 6 extension)";
       List.iter
         (fun (label, ms) -> Printf.printf "  %-28s %6.3f ms\n" label ms)
-        (Core.Experiments.ablation_nonblocking ?pool ());
+        (Core.Experiments.ablation_nonblocking ?pool ~net ());
       hr "Ablation: adaptive object placement (Sec. 2 runtime heuristic)";
       List.iter
         (fun (label, v) -> Printf.printf "  %-40s %8.1f\n" label v)
-        (Core.Experiments.ablation_migration ?pool ());
+        (Core.Experiments.ablation_migration ?pool ~net ());
       hr "Ablation: user-level network access (the paper's Sec. 6 projection)";
       List.iter
         (fun (label, v) -> Printf.printf "  %-42s %6.3f ms\n" label v)
-        (Core.Experiments.ablation_user_level_network ?pool ());
+        (Core.Experiments.ablation_user_level_network ?pool ~net ());
       hr "Ablation: continuations vs blocked server threads (RL, P=16)";
       List.iter
         (fun (label, s) -> Printf.printf "  %-40s %6.1f s\n" label s)
-        (Core.Experiments.ablation_continuations ?pool ~procs:16 ()));
+        (Core.Experiments.ablation_continuations ?pool ~net ~procs:16 ()));
   (None, 0)
 
 (* Engine microbenchmarks: the scheduler hot paths in isolation, on one
@@ -791,19 +793,23 @@ let engine c =
 
 let all =
   [
-    { name = "table1"; has_quick = false; run = table1 };
-    { name = "table2"; has_quick = false; run = table2 };
-    { name = "breakdown"; has_quick = false; run = breakdown };
-    { name = "optimized"; has_quick = false; run = optimized };
-    { name = "table3"; has_quick = true; run = table3 };
-    { name = "faults"; has_quick = true; run = fault_sweep };
-    { name = "load"; has_quick = true; run = load };
-    { name = "onesided"; has_quick = true; run = onesided };
-    { name = "cluster"; has_quick = true; run = cluster };
-    { name = "scenario"; has_quick = true; run = scenario };
-    { name = "ablation"; has_quick = false; run = ablation };
-    { name = "engine"; has_quick = true; run = engine };
+    { name = "table1"; has_quick = false; fault_free = false; run = table1 };
+    { name = "table2"; has_quick = false; fault_free = false; run = table2 };
+    { name = "breakdown"; has_quick = false; fault_free = true; run = breakdown };
+    { name = "optimized"; has_quick = false; fault_free = true; run = optimized };
+    { name = "table3"; has_quick = true; fault_free = false; run = table3 };
+    { name = "faults"; has_quick = true; fault_free = false; run = fault_sweep };
+    { name = "load"; has_quick = true; fault_free = false; run = load };
+    { name = "onesided"; has_quick = true; fault_free = false; run = onesided };
+    { name = "cluster"; has_quick = true; fault_free = false; run = cluster };
+    { name = "scenario"; has_quick = true; fault_free = true; run = scenario };
+    { name = "ablation"; has_quick = false; fault_free = true; run = ablation };
+    { name = "engine"; has_quick = true; fault_free = true; run = engine };
   ]
+
+(* The artifacts [selected] names (all of them when empty), in table
+   order. *)
+let chosen selected = List.filter (fun a -> selected = [] || List.mem a.name selected) all
 
 (* Runs [selected] (every artifact when empty) in table order, each timed
    for the json report: host seconds, simulated events executed (across
@@ -814,7 +820,6 @@ let all =
    violations and invalid results found. *)
 let run ~json c selected =
   let open Obs.Json in
-  let chosen = List.filter (fun a -> selected = [] || List.mem a.name selected) all in
   let results =
     List.map
       (fun a ->
@@ -835,7 +840,7 @@ let run ~json c selected =
             ]
         in
         (Option.map (fun s -> (a.name, s)) section, timing, bad))
-      chosen
+      (chosen selected)
   in
   if json then begin
     let file = "BENCH_results.json" in

@@ -7,12 +7,12 @@ type t = {
   checker : Faults.Invariants.t option;
 }
 
-let create ?faults ?(checked = false) ?net ?lanes
+let create ?faults ?(checked = false) ?net ?costs ?lanes
     ?(policy = Panda.Seq_policy.Single) ~n stack =
   let cluster =
     Cluster.create
       ~extra_machine:(stack = Cluster.Rpc_stack Cluster.User_dedicated)
-      ?net ?lanes ~n ()
+      ?net ?costs ?lanes ~n ()
   in
   let injected =
     Option.map (Faults.Inject.install cluster.Cluster.eng cluster.Cluster.topo) faults

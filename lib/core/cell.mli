@@ -1,19 +1,22 @@
 (** One simulation cell's lifecycle.
 
-    Every load-driven driver — {!Experiments.load_cell}, [dht_cell] and
-    [cluster_cell], {!Runner.run} and the soak — builds and tears down
-    its cell here, so two cells differ only in what they are given:
+    Every experiment — {!Experiments.load_cell}, [dht_cell] and
+    [cluster_cell], {!Runner.run}, the soak, and the Table 1/2
+    microbenchmarks, breakdowns and micro ablations — builds and tears
+    down its cell here, so two cells differ only in what they are given:
 
-    + {!create} builds the cluster (network era, lanes, and the extra
-      machine a dedicated sequencer needs), installs the fault schedule
-      and, in checked mode, creates the conformance checker with the
-      sequencer policy's shard count;
+    + {!create} builds the cluster (network era, cost record, lanes, and
+      the extra machine a dedicated sequencer needs), installs the fault
+      schedule and, in checked mode, creates the conformance checker with
+      the sequencer policy's shard count;
     + {!backends} or {!rnics} builds the stack, checked when the cell
       is; the fault spec's [seqcrash] is scheduled on an RPC stack and
       refused by the one-sided one, never dropped;
-    + the driver runs its load until the engine drains — a driver that
-      snapshots counters at its window edges schedules them before the
-      stack, as the event order of pinned results requires;
+    + the experiment runs its load until the engine drains (a
+      microbenchmark builds its protocol objects directly, from
+      {!Cluster.stack_costs}); one that snapshots counters at its window
+      edges schedules them before the stack, as the event order of
+      pinned results requires;
     + {!finish} finalizes the checker and returns its violations and the
       frames the fault schedule killed. *)
 
@@ -23,6 +26,7 @@ val create :
   ?faults:Faults.Spec.t ->
   ?checked:bool ->
   ?net:Params.net_profile ->
+  ?costs:Params.costs ->
   ?lanes:bool ->
   ?policy:Panda.Seq_policy.t ->
   n:int ->

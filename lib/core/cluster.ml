@@ -5,6 +5,7 @@ type t = {
   flips : Flip.Flip_iface.t array;
   extra : Flip.Flip_iface.t option;
   net : Params.net_profile;
+  costs : Params.costs;
   mutable rnic_cache : Onesided.Rnic.t array option;
 }
 
@@ -45,13 +46,14 @@ let lanes_default = ref false
 let set_default_lanes b = lanes_default := b
 let default_lanes () = !lanes_default
 
-let create ?(extra_machine = false) ?(net = Params.net10m) ?lanes ~n () =
+let create ?(extra_machine = false) ?(net = Params.net10m) ?(costs = Params.calibrated)
+    ?lanes ~n () =
   let lanes = match lanes with Some b -> b | None -> !lanes_default in
   let eng = Sim.Engine.create () in
   let total = n + if extra_machine then 1 else 0 in
   let machines =
     Array.init total (fun i ->
-        Machine.Mach.create eng ~id:i ~name:(Printf.sprintf "m%d" i) Params.machine)
+        Machine.Mach.create eng ~id:i ~name:(Printf.sprintf "m%d" i) costs.Params.machine)
   in
   let topo =
     Net.Topology.build eng ~machines ~per_segment:8
@@ -60,7 +62,8 @@ let create ?(extra_machine = false) ?(net = Params.net10m) ?lanes ~n () =
   in
   let all_flips =
     Array.mapi
-      (fun i mach -> Flip.Flip_iface.create mach ~config:Params.flip (Net.Topology.nic topo i))
+      (fun i mach ->
+        Flip.Flip_iface.create mach ~config:costs.Params.flip (Net.Topology.nic topo i))
       machines
   in
   {
@@ -70,6 +73,7 @@ let create ?(extra_machine = false) ?(net = Params.net10m) ?lanes ~n () =
     flips = Array.sub all_flips 0 n;
     extra = (if extra_machine then Some all_flips.(n) else None);
     net;
+    costs;
     rnic_cache = None;
   }
 
@@ -136,37 +140,36 @@ let sequencer_support ?(seq_crash = false) impl policy =
     Error "seqcrash needs a recoverable sequencer policy: single has no failover"
   | _ -> Ok ()
 
+let stack_costs t = function
+  | User_optimized -> Params.optimized t.costs
+  | Kernel | User | User_dedicated -> t.costs
+
 let backends ?checker ?(policy = Panda.Seq_policy.Single) ?seq_crash t impl =
   (match sequencer_support ~seq_crash:(seq_crash <> None) impl policy with
    | Ok () -> ()
    | Error msg -> invalid_arg ("Cluster.backends: " ^ msg));
+  let c = stack_costs t impl in
   let backends =
     match impl with
     | Kernel ->
       let group_config =
         match policy with
         | Panda.Seq_policy.Batching b ->
-          { Params.amoeba_group with Amoeba.Group.seq_batch_max = b }
-        | _ -> Params.amoeba_group
+          { c.Params.amoeba_group with Amoeba.Group.seq_batch_max = b }
+        | _ -> c.Params.amoeba_group
       in
-      Orca.Backend.kernel_stack ~rpc_config:Params.amoeba_rpc ~group_config t.flips ()
-    | User ->
-      Orca.Backend.user_stack ~sys_config:Params.panda_system
-        ~rpc_config:Params.panda_rpc ~group_config:Params.panda_group ~policy
-        t.flips ()
-    | User_dedicated ->
-      let extra =
-        match t.extra with
-        | Some flip -> flip
-        | None -> invalid_arg "Cluster.domain: no extra machine for the dedicated sequencer"
+      Orca.Backend.kernel_stack ~rpc_config:c.Params.amoeba_rpc ~group_config t.flips ()
+    | User | User_dedicated | User_optimized ->
+      let dedicated_sequencer =
+        match (impl, t.extra) with
+        | User_dedicated, Some flip -> Some flip
+        | User_dedicated, None ->
+          invalid_arg "Cluster.domain: no extra machine for the dedicated sequencer"
+        | _ -> None
       in
-      Orca.Backend.user_stack ~sys_config:Params.panda_system
-        ~rpc_config:Params.panda_rpc ~group_config:Params.panda_group ~policy
-        t.flips ~dedicated_sequencer:extra ()
-    | User_optimized ->
-      Orca.Backend.user_stack ~label:"optimized" ~sys_config:Params.panda_system_opt
-        ~rpc_config:Params.panda_rpc_opt ~group_config:Params.panda_group_opt
-        ~policy t.flips ()
+      Orca.Backend.user_stack ~label:(impl_label impl) ~sys_config:c.Params.panda_system
+        ~rpc_config:c.Params.panda_rpc ~group_config:c.Params.panda_group ~policy
+        t.flips ?dedicated_sequencer ()
   in
   let backends =
     match checker with

@@ -1,7 +1,9 @@
 (** Builds the paper's testbed: a pool of SPARC-like machines on Ethernet
     segments of eight, joined by a switch, each running FLIP.  The wire,
     switch and NIC constants come from a {!Params.net_profile} (default:
-    the paper's own 10 Mbit/s era). *)
+    the paper's own 10 Mbit/s era); the machine, FLIP and every protocol
+    stack's costs from one {!Params.costs} record (default:
+    {!Params.calibrated}). *)
 
 type t = private {
   eng : Sim.Engine.t;
@@ -12,12 +14,20 @@ type t = private {
       (** an additional machine (on the last segment) for the
           dedicated-sequencer experiments *)
   net : Params.net_profile;
+  costs : Params.costs;  (** the costs {!stack_costs} specializes per stack *)
   mutable rnic_cache : Onesided.Rnic.t array option;
 }
 
 val create :
-  ?extra_machine:bool -> ?net:Params.net_profile -> ?lanes:bool -> n:int -> unit -> t
-(** [lanes] (default {!default_lanes}) shards the engine into conservative
+  ?extra_machine:bool ->
+  ?net:Params.net_profile ->
+  ?costs:Params.costs ->
+  ?lanes:bool ->
+  n:int ->
+  unit ->
+  t
+(** [net] sets the era, [costs] the machine, FLIP and protocol costs.
+    [lanes] (default {!default_lanes}) shards the engine into conservative
     event lanes when the topology spans several segments (> 8 machines);
     single-segment clusters always keep the sequential engine path. *)
 
@@ -79,6 +89,10 @@ val sequencer_support :
     policy but [Single].  [Error] carries a one-line reason, which the CLIs
     print when they reject a flag combination. *)
 
+val stack_costs : t -> impl -> Params.costs
+(** The costs [impl]'s protocols run under: the cluster's own, through
+    {!Params.optimized} for [User_optimized]. *)
+
 val backends :
   ?checker:Faults.Invariants.t ->
   ?policy:Panda.Seq_policy.t ->
@@ -87,9 +101,10 @@ val backends :
   impl ->
   Orca.Backend.t array
 (** The raw communication backends (one per rank) for the given protocol
-    implementation — what {!domain} builds the Orca runtime on, exposed
-    so load generators can drive the stacks directly.  [User_dedicated]
-    requires the cluster to have been created with [extra_machine:true].
+    implementation under its {!stack_costs} — what {!domain} builds the
+    Orca runtime on, exposed so load generators can drive the stacks
+    directly.  [User_dedicated] requires the cluster to have been
+    created with [extra_machine:true].
     With [checker] the backends are wrapped in the protocol-conformance
     checkers (checked mode); call [Faults.Invariants.finalize] after the
     run drains.  [policy] (default [Single]) selects the sequencer

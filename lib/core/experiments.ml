@@ -2,102 +2,11 @@ module Thread = Machine.Thread
 module Mach = Machine.Mach
 module Cpu = Machine.Cpu
 
-type profile = {
-  p_machine : Machine.Mach.config;
-  p_nic : Net.Nic.config;
-  p_segment : Net.Segment.config;
-  p_switch : Sim.Time.span;
-  p_flip : Flip.Flip_iface.config;
-  p_arpc : Amoeba.Rpc.config;
-  p_agrp : Amoeba.Group.config;
-  p_psys : Panda.System_layer.config;
-  p_prpc : Panda.Rpc.config;
-  p_pgrp : Panda.Group.config;
-}
-
-let default_profile =
-  {
-    p_machine = Params.machine;
-    p_nic = Params.nic;
-    p_segment = Params.segment;
-    p_switch = Params.switch_latency;
-    p_flip = Params.flip;
-    p_arpc = Params.amoeba_rpc;
-    p_agrp = Params.amoeba_group;
-    p_psys = Params.panda_system;
-    p_prpc = Params.panda_rpc;
-    p_pgrp = Params.panda_group;
-  }
-
-(* Re-skin a profile with a network era's wire, switch and NIC constants;
-   everything above the NIC (machine, protocol stacks) keeps its 1995
-   costs, which is exactly the counterfactual the crossover experiments
-   ask about. *)
-let with_net np p =
-  {
-    p with
-    p_nic = np.Params.np_nic;
-    p_segment = np.Params.np_segment;
-    p_switch = np.Params.np_switch;
-  }
-
-(* The optimized user-space stack (impl [`Opt] below): the same profile
-   with the three System_layer mechanisms switched on and the compact
-   merged headers — exactly the configs Cluster.User_optimized uses, so
-   the microbenchmarks and Table 3 measure the same stack.  Written as a
-   transform so it composes with other profile edits (faults, ablations). *)
-let optimize_profile p =
-  {
-    p with
-    p_psys =
-      { p.p_psys with Panda.System_layer.single_frag = true; sg_copy = true; rx_fastpath = true };
-    p_prpc =
-      { p.p_prpc with Panda.Rpc.header_bytes = Params.panda_rpc_opt.Panda.Rpc.header_bytes };
-    p_pgrp =
-      {
-        p.p_pgrp with
-        Panda.Group.header_bytes = Params.panda_group_opt.Panda.Group.header_bytes;
-        accept_bytes = Params.panda_group_opt.Panda.Group.accept_bytes;
-      };
-  }
-
-(* [`Opt] is the user code path under the optimized profile: same protocol
-   modules, different mechanism flags. *)
-let split_impl profile = function
-  | `Opt -> (optimize_profile profile, `User)
-  | `User -> (profile, `User)
-  | `Kernel -> (profile, `Kernel)
-
-(* A small pool built from a profile (for the microbenchmarks; Table 3
-   uses Cluster, which reads Params directly). *)
-let micro_pool profile n =
-  let eng = Sim.Engine.create () in
-  let machines =
-    Array.init n (fun i ->
-        Mach.create eng ~id:i ~name:(Printf.sprintf "m%d" i) profile.p_machine)
-  in
-  let topo =
-    Net.Topology.build eng ~machines ~per_segment:8 ~segment_config:profile.p_segment
-      ~nic_config:profile.p_nic ~switch_latency:profile.p_switch ()
-  in
-  let flips =
-    Array.mapi
-      (fun i mach ->
-        Flip.Flip_iface.create mach ~config:profile.p_flip (Net.Topology.nic topo i))
-      machines
-  in
-  (eng, machines, flips, topo)
-
-(* Install a fault schedule (when given) on a micro pool's network. *)
-let install_faults ?faults eng topo =
-  match faults with
-  | Some spec -> ignore (Faults.Inject.install eng topo spec)
-  | None -> ()
-
 type Sim.Payload.t += Ping
 
 let warmup_rounds = 2
 let measure_rounds = 10
+let latency_rounds = warmup_rounds + measure_rounds
 
 (* Every experiment below decomposes into independent simulations (cells);
    [run_cells] evaluates them in input order — sequentially without a
@@ -124,20 +33,43 @@ let run_grid ?pool outers inners cell =
     outers
 
 (* ------------------------------------------------------------------ *)
+(* The microbenchmarks' testbed: [n] machines on one segment, built by
+   [Cell] like every other cell, and the costs [impl]'s protocols run
+   under.  The pool has no extra machine for a dedicated sequencer. *)
+let micro_cell ?faults ?net ?costs ~n impl =
+  if impl = Cluster.User_dedicated then
+    invalid_arg "Experiments: the microbenchmark pool has no dedicated sequencer machine";
+  let cluster =
+    Cell.cluster (Cell.create ?faults ?net ?costs ~n (Cluster.Rpc_stack impl))
+  in
+  (cluster, Cluster.stack_costs cluster impl)
+
+let system_layers costs flips =
+  Array.mapi
+    (fun i flip ->
+      Panda.System_layer.create ~config:costs.Params.panda_system
+        ~name:(Printf.sprintf "s%d" i) flip)
+    flips
+
+(* Simulated time of a run's measured rounds: from the end of the last
+   warmup round to the end of round [rounds].  [marks] holds the end of
+   every round, oldest first. *)
+let measured_span ?(rounds = latency_rounds) marks =
+  List.nth marks (rounds - 1) - List.nth marks (warmup_rounds - 1)
+
+let per_round to_unit marks =
+  to_unit (measured_span marks) /. float_of_int measure_rounds
+
+(* ------------------------------------------------------------------ *)
 (* Table 1: system-layer unicast/multicast (user space only) *)
 
 (* Ping-pong between the two system-layer daemons: replies are sent from
    within the upcall, so no context switch is in the measured path beyond
    the daemon dispatch itself (paper §4.1). *)
-let raw_pingpong ?faults ~mcast profile ~size () =
-  let eng, machines, flips, topo = micro_pool profile 2 in
-  install_faults ?faults eng topo;
-  let sys =
-    Array.mapi
-      (fun i flip ->
-        Panda.System_layer.create ~config:profile.p_psys ~name:(Printf.sprintf "s%d" i) flip)
-      flips
-  in
+let raw_pingpong ?faults ?net ~mcast ~size () =
+  let cluster, costs = micro_cell ?faults ?net ~n:2 Cluster.User in
+  let eng = cluster.Cluster.eng and flips = cluster.Cluster.flips in
+  let sys = system_layers costs flips in
   let gaddr = Flip.Address.fresh_group eng in
   if mcast then
     Array.iteri
@@ -151,7 +83,6 @@ let raw_pingpong ?faults ~mcast profile ~size () =
               | Some pan -> Panda.System_layer.inject sys.(i) pan
               | None -> ()))
       flips;
-  let rounds = warmup_rounds + measure_rounds in
   let t_start = ref Sim.Time.zero and t_end = ref Sim.Time.zero and count = ref 0 in
   let send_from_daemon i =
     if mcast then Panda.System_layer.mcast_from_daemon sys.(i) ~group:gaddr ~size Ping
@@ -170,7 +101,7 @@ let raw_pingpong ?faults ~mcast profile ~size () =
             if i = 0 then begin
               incr count;
               if !count = warmup_rounds then t_start := Sim.Engine.now eng;
-              if !count = rounds then t_end := Sim.Engine.now eng
+              if !count = latency_rounds then t_end := Sim.Engine.now eng
               else send_from_daemon 0
             end
             else send_from_daemon 1;
@@ -178,7 +109,7 @@ let raw_pingpong ?faults ~mcast profile ~size () =
           | _ -> false))
     sys;
   ignore
-    (Thread.spawn machines.(0) "starter" (fun () ->
+    (Thread.spawn cluster.Cluster.machines.(0) "starter" (fun () ->
          if mcast then Panda.System_layer.mcast sys.(0) ~group:gaddr ~size Ping
          else
            Panda.System_layer.send sys.(0)
@@ -188,14 +119,11 @@ let raw_pingpong ?faults ~mcast profile ~size () =
   (* Each round is two one-way messages. *)
   Sim.Time.to_ms (!t_end - !t_start) /. float_of_int (2 * measure_rounds)
 
-let unicast_latency ?faults ?(profile = default_profile) ~size () =
-  raw_pingpong ?faults ~mcast:false profile ~size ()
-
-let multicast_latency ?faults ?(profile = default_profile) ~size () =
-  raw_pingpong ?faults ~mcast:true profile ~size ()
+let unicast_latency ?faults ?net ~size () = raw_pingpong ?faults ?net ~mcast:false ~size ()
+let multicast_latency ?faults ?net ~size () = raw_pingpong ?faults ?net ~mcast:true ~size ()
 
 (* ------------------------------------------------------------------ *)
-(* Table 1: RPC latency *)
+(* Table 1: RPC and group latency *)
 
 (* When a recorder is supplied, [window] selects what it sees: [`Measured]
    installs it from the start of the first measured round to the end of the
@@ -212,135 +140,100 @@ let record_done recorder window =
   | Some _, `Measured -> Obs.Recorder.uninstall ()
   | _ -> ()
 
-let rpc_run ?recorder ?(window = `Measured) ?faults profile ~impl ~size ~rounds =
-  let profile, impl = split_impl profile impl in
-  let eng, machines, flips, topo = micro_pool profile 2 in
-  install_faults ?faults eng topo;
-  (match (recorder, window) with
-   | Some r, `Whole -> Obs.Recorder.install r
-   | _ -> ());
+(* A null-RPC server on rank 1; returns rank 0's call. *)
+let rpc_round ~size ~rounds impl cluster costs =
+  let flips = cluster.Cluster.flips in
+  match impl with
+  | Cluster.Kernel ->
+    let srpc = Amoeba.Rpc.create ~config:costs.Params.amoeba_rpc flips.(1) in
+    let port = Amoeba.Rpc.export srpc ~name:"bench" in
+    ignore
+      (Thread.spawn cluster.Cluster.machines.(1) ~prio:Thread.Daemon "server" (fun () ->
+           for _ = 1 to rounds do
+             let r = Amoeba.Rpc.get_request port in
+             Amoeba.Rpc.put_reply port r ~size:0 Sim.Payload.Empty
+           done));
+    let crpc = Amoeba.Rpc.create ~config:costs.Params.amoeba_rpc flips.(0) in
+    fun () -> ignore (Amoeba.Rpc.trans crpc ~dst:(Amoeba.Rpc.address port) ~size Ping)
+  | _ ->
+    let sys = system_layers costs flips in
+    let srpc = Panda.Rpc.create ~config:costs.Params.panda_rpc sys.(1) in
+    Panda.Rpc.set_request_handler srpc (fun ~client:_ ~size:_ _ ~reply ->
+        reply ~size:0 Sim.Payload.Empty);
+    let crpc = Panda.Rpc.create ~config:costs.Params.panda_rpc sys.(0) in
+    fun () -> ignore (Panda.Rpc.trans crpc ~dst:(Panda.Rpc.address srpc) ~size Ping)
+
+(* A two-member group whose sequencer is on rank 1, as in the paper's
+   measurement; returns rank 0's send. *)
+let group_round ~size ~rounds impl cluster costs =
+  let flips = cluster.Cluster.flips in
+  match impl with
+  | Cluster.Kernel ->
+    let _grp, members =
+      Amoeba.Group.create_static ~config:costs.Params.amoeba_group ~name:"bench"
+        ~sequencer:1 flips
+    in
+    Array.iteri
+      (fun i m ->
+        ignore
+          (Thread.spawn cluster.Cluster.machines.(i) ~prio:Thread.Daemon "recv" (fun () ->
+               for _ = 1 to rounds do
+                 ignore (Amoeba.Group.receive m)
+               done)))
+      members;
+    fun () -> Amoeba.Group.send members.(0) ~size Ping
+  | _ ->
+    let sys = system_layers costs flips in
+    let _grp, members =
+      Panda.Group.create_static ~config:costs.Params.panda_group ~name:"bench"
+        ~sequencer:(Panda.Group.On_member 1) sys
+    in
+    Array.iter
+      (fun m -> Panda.Group.set_handler m (fun ~sender:_ ~size:_ _ -> ()))
+      members;
+    fun () -> Panda.Group.send members.(0) ~size Ping
+
+(* One [`Rpc] or [`Group] benchmark on a two-machine pool: a thread on
+   rank 0 runs [rounds] rounds and marks the end of each.  Returns the
+   marks, oldest first, and the machines. *)
+let micro_run ?recorder ?(window = `Measured) ?faults ?net ?costs ~proto ~impl ~size
+    ~rounds () =
+  let cluster, costs = micro_cell ?faults ?net ?costs ~n:2 impl in
+  let eng = cluster.Cluster.eng and machines = cluster.Cluster.machines in
   let marks = ref [] in
-  (match impl with
-   | `Kernel ->
-     let srpc = Amoeba.Rpc.create ~config:profile.p_arpc flips.(1) in
-     let port = Amoeba.Rpc.export srpc ~name:"bench" in
-     ignore
-       (Thread.spawn machines.(1) ~prio:Thread.Daemon "server" (fun () ->
-            for _ = 1 to rounds do
-              let r = Amoeba.Rpc.get_request port in
-              Amoeba.Rpc.put_reply port r ~size:0 Sim.Payload.Empty
-            done));
-     let crpc = Amoeba.Rpc.create ~config:profile.p_arpc flips.(0) in
-     ignore
-       (Thread.spawn machines.(0) "client" (fun () ->
-            for i = 1 to rounds do
-              record_round recorder window i;
-              ignore (Amoeba.Rpc.trans crpc ~dst:(Amoeba.Rpc.address port) ~size Ping);
-              marks := Sim.Engine.now eng :: !marks
-            done;
-            record_done recorder window))
-   | `User ->
-     let sys =
-       Array.mapi
-         (fun i flip ->
-           Panda.System_layer.create ~config:profile.p_psys
-             ~name:(Printf.sprintf "s%d" i) flip)
-         flips
-     in
-     let srpc = Panda.Rpc.create ~config:profile.p_prpc sys.(1) in
-     Panda.Rpc.set_request_handler srpc (fun ~client:_ ~size:_ _ ~reply ->
-         reply ~size:0 Sim.Payload.Empty);
-     let crpc = Panda.Rpc.create ~config:profile.p_prpc sys.(0) in
-     ignore
-       (Thread.spawn machines.(0) "client" (fun () ->
-            for i = 1 to rounds do
-              record_round recorder window i;
-              ignore (Panda.Rpc.trans crpc ~dst:(Panda.Rpc.address srpc) ~size Ping);
-              marks := Sim.Engine.now eng :: !marks
-            done;
-            record_done recorder window)));
-  Sim.Engine.run eng;
+  let run () =
+    let name, round =
+      match proto with
+      | `Rpc -> ("client", rpc_round ~size ~rounds impl cluster costs)
+      | `Group -> ("sender", group_round ~size ~rounds impl cluster costs)
+    in
+    ignore
+      (Thread.spawn machines.(0) name (fun () ->
+           for i = 1 to rounds do
+             record_round recorder window i;
+             round ();
+             marks := Sim.Engine.now eng :: !marks
+           done;
+           record_done recorder window));
+    Sim.Engine.run eng
+  in
   (match (recorder, window) with
-   | Some _, `Whole -> Obs.Recorder.uninstall ()
-   | _ -> ());
+   | Some r, `Whole ->
+     Obs.Recorder.install r;
+     run ();
+     Obs.Recorder.uninstall ()
+   | _ -> run ());
   (List.rev !marks, machines)
 
-let rpc_latency ?faults ?(profile = default_profile) ~impl ~size () =
-  let rounds = warmup_rounds + measure_rounds in
-  let marks, _ = rpc_run ?faults profile ~impl ~size ~rounds in
-  let t0 = List.nth marks (warmup_rounds - 1) in
-  let t1 = List.nth marks (rounds - 1) in
-  Sim.Time.to_ms (t1 - t0) /. float_of_int measure_rounds
+let latency_ms ?faults ?net ?costs ~proto ~impl ~size () =
+  per_round Sim.Time.to_ms
+    (fst (micro_run ?faults ?net ?costs ~proto ~impl ~size ~rounds:latency_rounds ()))
 
-(* ------------------------------------------------------------------ *)
-(* Table 1: group latency *)
+let rpc_latency ?faults ?net ~impl ~size () =
+  latency_ms ?faults ?net ~proto:`Rpc ~impl ~size ()
 
-(* One sending member; the sequencer is on the other machine, as in the
-   paper's measurement. *)
-let group_run ?recorder ?(window = `Measured) ?faults profile ~impl ~size ~rounds =
-  let profile, impl = split_impl profile impl in
-  let eng, machines, flips, topo = micro_pool profile 2 in
-  install_faults ?faults eng topo;
-  (match (recorder, window) with
-   | Some r, `Whole -> Obs.Recorder.install r
-   | _ -> ());
-  let marks = ref [] in
-  (match impl with
-   | `Kernel ->
-     let _grp, members =
-       Amoeba.Group.create_static ~config:profile.p_agrp ~name:"bench" ~sequencer:1 flips
-     in
-     Array.iteri
-       (fun i m ->
-         ignore
-           (Thread.spawn machines.(i) ~prio:Thread.Daemon "recv" (fun () ->
-                for _ = 1 to rounds do
-                  ignore (Amoeba.Group.receive m)
-                done)))
-       members;
-     ignore
-       (Thread.spawn machines.(0) "sender" (fun () ->
-            for i = 1 to rounds do
-              record_round recorder window i;
-              Amoeba.Group.send members.(0) ~size Ping;
-              marks := Sim.Engine.now eng :: !marks
-            done;
-            record_done recorder window))
-   | `User ->
-     let sys =
-       Array.mapi
-         (fun i flip ->
-           Panda.System_layer.create ~config:profile.p_psys
-             ~name:(Printf.sprintf "s%d" i) flip)
-         flips
-     in
-     let _grp, members =
-       Panda.Group.create_static ~config:profile.p_pgrp ~name:"bench"
-         ~sequencer:(Panda.Group.On_member 1) sys
-     in
-     Array.iter
-       (fun m -> Panda.Group.set_handler m (fun ~sender:_ ~size:_ _ -> ()))
-       members;
-     ignore
-       (Thread.spawn machines.(0) "sender" (fun () ->
-            for i = 1 to rounds do
-              record_round recorder window i;
-              Panda.Group.send members.(0) ~size Ping;
-              marks := Sim.Engine.now eng :: !marks
-            done;
-            record_done recorder window)));
-  Sim.Engine.run eng;
-  (match (recorder, window) with
-   | Some _, `Whole -> Obs.Recorder.uninstall ()
-   | _ -> ());
-  (List.rev !marks, machines)
-
-let group_latency ?faults ?(profile = default_profile) ~impl ~size () =
-  let rounds = warmup_rounds + measure_rounds in
-  let marks, _ = group_run ?faults profile ~impl ~size ~rounds in
-  let t0 = List.nth marks (warmup_rounds - 1) in
-  let t1 = List.nth marks (rounds - 1) in
-  Sim.Time.to_ms (t1 - t0) /. float_of_int measure_rounds
+let group_latency ?faults ?net ~impl ~size () =
+  latency_ms ?faults ?net ~proto:`Group ~impl ~size ()
 
 type lat_row = {
   lr_size : int;
@@ -356,20 +249,20 @@ type lat_row = {
 
 let table1_sizes = [ 0; 1024; 2048; 3072; 4096 ]
 
-let table1 ?pool ?faults ?(profile = default_profile) ?(sizes = table1_sizes) () =
+let table1 ?pool ?faults ?net ?(sizes = table1_sizes) () =
   (* One cell per (size, column): 8 independent simulations per row. *)
   let cells =
     List.concat_map
       (fun size ->
         [
-          (fun () -> unicast_latency ?faults ~profile ~size ());
-          (fun () -> multicast_latency ?faults ~profile ~size ());
-          (fun () -> rpc_latency ?faults ~profile ~impl:`User ~size ());
-          (fun () -> rpc_latency ?faults ~profile ~impl:`Kernel ~size ());
-          (fun () -> group_latency ?faults ~profile ~impl:`User ~size ());
-          (fun () -> group_latency ?faults ~profile ~impl:`Kernel ~size ());
-          (fun () -> rpc_latency ?faults ~profile ~impl:`Opt ~size ());
-          (fun () -> group_latency ?faults ~profile ~impl:`Opt ~size ());
+          (fun () -> unicast_latency ?faults ?net ~size ());
+          (fun () -> multicast_latency ?faults ?net ~size ());
+          (fun () -> rpc_latency ?faults ?net ~impl:Cluster.User ~size ());
+          (fun () -> rpc_latency ?faults ?net ~impl:Cluster.Kernel ~size ());
+          (fun () -> group_latency ?faults ?net ~impl:Cluster.User ~size ());
+          (fun () -> group_latency ?faults ?net ~impl:Cluster.Kernel ~size ());
+          (fun () -> rpc_latency ?faults ?net ~impl:Cluster.User_optimized ~size ());
+          (fun () -> group_latency ?faults ?net ~impl:Cluster.User_optimized ~size ());
         ])
       sizes
   in
@@ -396,24 +289,21 @@ let table1 ?pool ?faults ?(profile = default_profile) ?(sizes = table1_sizes) ()
 (* ------------------------------------------------------------------ *)
 (* Table 2: throughput *)
 
-let rpc_throughput ?faults profile ~impl =
+let rpc_throughput ?faults ?net ~impl () =
   let rounds = 40 in
   let size = 8000 in
-  let marks, _ = rpc_run ?faults profile ~impl ~size ~rounds in
-  let t0 = List.nth marks (warmup_rounds - 1) in
-  let t1 = List.nth marks (rounds - 1) in
-  let secs = Sim.Time.to_sec (t1 - t0) in
+  let marks, _ = micro_run ?faults ?net ~proto:`Rpc ~impl ~size ~rounds () in
+  let secs = Sim.Time.to_sec (measured_span ~rounds marks) in
   float_of_int ((rounds - warmup_rounds) * size) /. secs /. 1024.
 
 (* Several members stream large messages concurrently, saturating the
    Ethernet; throughput is the ordered goodput. *)
-let group_throughput ?faults profile ~impl =
-  let profile, impl = split_impl profile impl in
+let group_throughput ?faults ?net ~impl () =
   let n = 4 in
   let per_member = 12 in
   let size = 8000 in
-  let eng, machines, flips, topo = micro_pool profile n in
-  install_faults ?faults eng topo;
+  let cluster, costs = micro_cell ?faults ?net ~n impl in
+  let eng = cluster.Cluster.eng and machines = cluster.Cluster.machines in
   let total = n * per_member in
   let done_at = ref Sim.Time.zero in
   let delivered = ref 0 in
@@ -422,9 +312,10 @@ let group_throughput ?faults profile ~impl =
     if !delivered = total * n then done_at := Sim.Engine.now eng
   in
   (match impl with
-   | `Kernel ->
+   | Cluster.Kernel ->
      let _grp, members =
-       Amoeba.Group.create_static ~config:profile.p_agrp ~name:"tput" ~sequencer:0 flips
+       Amoeba.Group.create_static ~config:costs.Params.amoeba_group ~name:"tput"
+         ~sequencer:0 cluster.Cluster.flips
      in
      Array.iteri
        (fun i m ->
@@ -443,16 +334,10 @@ let group_throughput ?faults profile ~impl =
                   Amoeba.Group.send m ~size Ping
                 done)))
        members
-   | `User ->
-     let sys =
-       Array.mapi
-         (fun i flip ->
-           Panda.System_layer.create ~config:profile.p_psys
-             ~name:(Printf.sprintf "s%d" i) flip)
-         flips
-     in
+   | _ ->
+     let sys = system_layers costs cluster.Cluster.flips in
      let _grp, members =
-       Panda.Group.create_static ~config:profile.p_pgrp ~name:"tput"
+       Panda.Group.create_static ~config:costs.Params.panda_group ~name:"tput"
          ~sequencer:(Panda.Group.On_member 0) sys
      in
      Array.iter
@@ -478,16 +363,16 @@ type tput_row = {
   tr_opt : float;
 }
 
-let table2 ?pool ?faults ?(profile = default_profile) () =
+let table2 ?pool ?faults ?net () =
   match
     run_cells ?pool
       [
-        (fun () -> rpc_throughput ?faults profile ~impl:`User);
-        (fun () -> rpc_throughput ?faults profile ~impl:`Kernel);
-        (fun () -> group_throughput ?faults profile ~impl:`User);
-        (fun () -> group_throughput ?faults profile ~impl:`Kernel);
-        (fun () -> rpc_throughput ?faults profile ~impl:`Opt);
-        (fun () -> group_throughput ?faults profile ~impl:`Opt);
+        (fun () -> rpc_throughput ?faults ?net ~impl:Cluster.User ());
+        (fun () -> rpc_throughput ?faults ?net ~impl:Cluster.Kernel ());
+        (fun () -> group_throughput ?faults ?net ~impl:Cluster.User ());
+        (fun () -> group_throughput ?faults ?net ~impl:Cluster.Kernel ());
+        (fun () -> rpc_throughput ?faults ?net ~impl:Cluster.User_optimized ());
+        (fun () -> group_throughput ?faults ?net ~impl:Cluster.User_optimized ());
       ]
   with
   | [ ru; rk; gu; gk; ro; go ] ->
@@ -526,36 +411,42 @@ let table3 ?pool ?faults ?checked ?net ?(procs = [ 1; 8; 16; 32 ]) ?app_names ()
 (* Breakdowns: re-measure the user/kernel gap with one mechanism at a
    time made free, mirroring the paper's §4.2/§4.3 accounting. *)
 
-let null_rpc_gap profile =
-  let user = rpc_latency ~profile ~impl:`User ~size:0 () in
-  let kernel = rpc_latency ~profile ~impl:`Kernel ~size:0 () in
+let null_rpc_gap ?net costs =
+  let user = latency_ms ?net ~costs ~proto:`Rpc ~impl:Cluster.User ~size:0 () in
+  let kernel = latency_ms ?net ~costs ~proto:`Rpc ~impl:Cluster.Kernel ~size:0 () in
   (user -. kernel) *. 1000.
 
-let no_ctx_switches p =
-  { p with
-    p_machine =
-      { p.p_machine with Mach.ctx_warm = 0; ctx_cold_idle = 0; ctx_cold_preempt = 0 } }
+let no_ctx_switches c =
+  { c with
+    Params.machine =
+      { c.Params.machine with Mach.ctx_warm = 0; ctx_cold_idle = 0; ctx_cold_preempt = 0 } }
 
-let no_traps p = { p with p_machine = { p.p_machine with Mach.trap_cost = 0 } }
+let no_traps c = { c with Params.machine = { c.Params.machine with Mach.trap_cost = 0 } }
 
-let no_double_frag p =
-  { p with p_psys = { p.p_psys with Panda.System_layer.frag_cost = 0 } }
+let no_double_frag c =
+  { c with
+    Params.panda_system = { c.Params.panda_system with Panda.System_layer.frag_cost = 0 } }
 
-let equal_headers_rpc p =
-  { p with
-    p_prpc = { p.p_prpc with Panda.Rpc.header_bytes = p.p_arpc.Amoeba.Rpc.header_bytes } }
+let equal_headers_rpc c =
+  { c with
+    Params.panda_rpc =
+      { c.Params.panda_rpc with
+        Panda.Rpc.header_bytes = c.Params.amoeba_rpc.Amoeba.Rpc.header_bytes } }
 
-let equal_headers_group p =
-  { p with
-    p_pgrp =
-      { p.p_pgrp with Panda.Group.header_bytes = p.p_agrp.Amoeba.Group.header_bytes } }
+let equal_headers_group c =
+  { c with
+    Params.panda_group =
+      { c.Params.panda_group with
+        Panda.Group.header_bytes = c.Params.amoeba_group.Amoeba.Group.header_bytes } }
 
-let no_flip_extra p =
-  { p with p_psys = { p.p_psys with Panda.System_layer.user_flip_extra = 0 } }
+let no_flip_extra c =
+  { c with
+    Params.panda_system =
+      { c.Params.panda_system with Panda.System_layer.user_flip_extra = 0 } }
 
 (* The RPC gap decomposes cleanly as a differential (re-measure the gap
    with one mechanism free at a time). *)
-let rpc_breakdown ?pool () =
+let rpc_breakdown ?pool ?net () =
   let labelled =
     [
       ("context switches", no_ctx_switches);
@@ -567,9 +458,9 @@ let rpc_breakdown ?pool () =
   in
   let gaps =
     run_cells ?pool
-      ((fun () -> null_rpc_gap default_profile)
+      ((fun () -> null_rpc_gap ?net Params.calibrated)
        :: List.map
-            (fun (_, transform) () -> null_rpc_gap (transform default_profile))
+            (fun (_, transform) () -> null_rpc_gap ?net (transform Params.calibrated))
             labelled)
   in
   match gaps with
@@ -581,11 +472,13 @@ let rpc_breakdown ?pool () =
 (* The group paths interleave with the wire on both sides, so differential
    gaps are unstable; decompose the user-space latency itself instead (how
    much of it each mechanism costs), next to the measured total gap. *)
-let group_breakdown ?pool () =
+let group_breakdown ?pool ?net () =
   let user transform () =
-    group_latency ~profile:(transform default_profile) ~impl:`User ~size:0 () *. 1000.
+    latency_ms ?net ~costs:(transform Params.calibrated) ~proto:`Group
+      ~impl:Cluster.User ~size:0 ()
+    *. 1000.
   in
-  let kernel () = group_latency ~impl:`Kernel ~size:0 () *. 1000. in
+  let kernel () = group_latency ?net ~impl:Cluster.Kernel ~size:0 () *. 1000. in
   match
     run_cells ?pool
       [
@@ -629,28 +522,24 @@ let user_flip_ns r = Obs.Recorder.ledger_ns r ~layer:Obs.Layer.Flip ~cause:Obs.C
 
 (* Records the measured rounds of one null run; returns the recorder and
    the per-round latency in µs. *)
-let recorded_null run impl =
-  let rounds = warmup_rounds + measure_rounds in
+let recorded_null ?net proto impl =
   let r = Obs.Recorder.create () in
   let marks, _ =
-    run ?recorder:(Some r) ?window:(Some `Measured) ?faults:None default_profile
-      ~impl ~size:0 ~rounds
+    micro_run ~recorder:r ?net ~proto ~impl ~size:0 ~rounds:latency_rounds ()
   in
-  let t0 = List.nth marks (warmup_rounds - 1) in
-  let t1 = List.nth marks (rounds - 1) in
-  (r, Sim.Time.to_us (t1 - t0) /. float_of_int measure_rounds)
+  (r, per_round Sim.Time.to_us marks)
 
 let us_per_round ns = float_of_int ns /. float_of_int measure_rounds /. 1000.
 
-let measured_breakdown ?pool () =
+let measured_breakdown ?pool ?net () =
   (* Four independent recorded runs; the accounting below is pure. *)
   let runs =
     run_cells ?pool
       [
-        (fun () -> recorded_null rpc_run `User);
-        (fun () -> recorded_null rpc_run `Kernel);
-        (fun () -> recorded_null group_run `User);
-        (fun () -> recorded_null group_run `Kernel);
+        (fun () -> recorded_null ?net `Rpc Cluster.User);
+        (fun () -> recorded_null ?net `Rpc Cluster.Kernel);
+        (fun () -> recorded_null ?net `Group Cluster.User);
+        (fun () -> recorded_null ?net `Group Cluster.Kernel);
       ]
   in
   let rpc_u, rpc_k, grp_u, grp_k =
@@ -693,11 +582,11 @@ let measured_breakdown ?pool () =
 (* A whole-run recording of one Table 1 null-RPC benchmark, plus the total
    CPU busy time of both machines — for trace export and for checking the
    ledger-vs-CPU-time invariant. *)
-let recorded_rpc ?(impl = `User) ?(size = 0) () =
-  let rounds = warmup_rounds + measure_rounds in
+let recorded_rpc ?net ?(impl = Cluster.User) ?(size = 0) () =
   let r = Obs.Recorder.create ~spans:true () in
   let _marks, machines =
-    rpc_run ~recorder:r ~window:`Whole default_profile ~impl ~size ~rounds
+    micro_run ~recorder:r ~window:`Whole ?net ~proto:`Rpc ~impl ~size
+      ~rounds:latency_rounds ()
   in
   let busy =
     Array.fold_left (fun acc m -> acc + Cpu.busy_time (Mach.cpu m)) 0 machines
@@ -776,16 +665,16 @@ let diff_breakdown (ru, lat_u) (ro, lat_o) kernel_us =
     ob_residual_us = sum (fun cl -> mechanism_of_cause cl.oc_cause = None);
   }
 
-let optimized_breakdown ?pool () =
+let optimized_breakdown ?pool ?net () =
   match
     run_cells ?pool
       [
-        (fun () -> `Rec (recorded_null rpc_run `User));
-        (fun () -> `Rec (recorded_null rpc_run `Opt));
-        (fun () -> `Lat (rpc_latency ~impl:`Kernel ~size:0 () *. 1000.));
-        (fun () -> `Rec (recorded_null group_run `User));
-        (fun () -> `Rec (recorded_null group_run `Opt));
-        (fun () -> `Lat (group_latency ~impl:`Kernel ~size:0 () *. 1000.));
+        (fun () -> `Rec (recorded_null ?net `Rpc Cluster.User));
+        (fun () -> `Rec (recorded_null ?net `Rpc Cluster.User_optimized));
+        (fun () -> `Lat (rpc_latency ?net ~impl:Cluster.Kernel ~size:0 () *. 1000.));
+        (fun () -> `Rec (recorded_null ?net `Group Cluster.User));
+        (fun () -> `Rec (recorded_null ?net `Group Cluster.User_optimized));
+        (fun () -> `Lat (group_latency ?net ~impl:Cluster.Kernel ~size:0 () *. 1000.));
       ]
   with
   | [ `Rec ru; `Rec ro; `Lat rk; `Rec gu; `Rec go; `Lat gk ] ->
@@ -812,43 +701,34 @@ let pp_opt_breakdown fmt ob =
 (* ------------------------------------------------------------------ *)
 (* Ablations *)
 
-let ablation_dedicated_sequencer ?pool ?(procs = [ 8; 16; 32 ]) () =
+let ablation_dedicated_sequencer ?pool ?net ?(procs = [ 8; 16; 32 ]) () =
   let app = Runner.app_named "leq" in
-  Runner.run_many ?pool
+  Runner.run_many ?pool ?net
     (List.concat_map
        (fun p -> [ (Cluster.User, p, app); (Cluster.User_dedicated, p, app) ])
        procs)
 
-let ablation_nonblocking ?pool () =
+let ablation_nonblocking ?pool ?net () =
   (* Time the sender perceives per broadcast, blocking vs nonblocking. *)
   let measure ~nonblocking =
-    let eng, machines, flips, _topo = micro_pool default_profile 2 in
-    let sys =
-      Array.mapi
-        (fun i flip ->
-          Panda.System_layer.create ~config:default_profile.p_psys
-            ~name:(Printf.sprintf "s%d" i) flip)
-        flips
-    in
+    let cluster, costs = micro_cell ?net ~n:2 Cluster.User in
+    let eng = cluster.Cluster.eng in
+    let sys = system_layers costs cluster.Cluster.flips in
     let _grp, members =
-      Panda.Group.create_static ~config:default_profile.p_pgrp ~name:"nb"
+      Panda.Group.create_static ~config:costs.Params.panda_group ~name:"nb"
         ~sequencer:(Panda.Group.On_member 1) sys
     in
     Array.iter (fun m -> Panda.Group.set_handler m (fun ~sender:_ ~size:_ _ -> ())) members;
-    let rounds = warmup_rounds + measure_rounds in
     let marks = ref [] in
     ignore
-      (Thread.spawn machines.(0) "sender" (fun () ->
-           for _ = 1 to rounds do
+      (Thread.spawn cluster.Cluster.machines.(0) "sender" (fun () ->
+           for _ = 1 to latency_rounds do
              if nonblocking then Panda.Group.send_nonblocking members.(0) ~size:64 Ping
              else Panda.Group.send members.(0) ~size:64 Ping;
              marks := Sim.Engine.now eng :: !marks
            done));
     Sim.Engine.run eng;
-    let marks = List.rev !marks in
-    let t0 = List.nth marks (warmup_rounds - 1) in
-    let t1 = List.nth marks (rounds - 1) in
-    Sim.Time.to_ms (t1 - t0) /. float_of_int measure_rounds
+    per_round Sim.Time.to_ms (List.rev !marks)
   in
   match
     run_cells ?pool
@@ -861,15 +741,14 @@ let ablation_nonblocking ?pool () =
     [ ("blocking send (ms)", blocking); ("nonblocking send (ms)", nonblocking) ]
   | _ -> assert false
 
-let ablation_migration ?pool () =
+let ablation_migration ?pool ?net () =
   (* A central object accessed overwhelmingly by one remote process: with
      static placement every access is an RPC; the adaptive heuristic
      migrates the object to the accessor. *)
   let run placement =
-    let eng, _machines, flips, _topo = micro_pool default_profile 2 in
-    let backends = Orca.Backend.user_stack ~sys_config:default_profile.p_psys
-        ~rpc_config:default_profile.p_prpc ~group_config:default_profile.p_pgrp flips () in
-    let dom = Orca.Rts.create_domain backends in
+    let cell = Cell.create ?net ~n:2 (Cluster.Rpc_stack Cluster.User) in
+    let eng = (Cell.cluster cell).Cluster.eng in
+    let dom = Orca.Rts.create_domain (Cell.backends cell) in
     let od =
       Orca.Rts.declare dom ~name:"cell" ~placement ~init:(fun ~rank:_ -> ref 0)
     in
@@ -914,28 +793,32 @@ let ablation_migration ?pool () =
    network interface, so its per-packet kernel crossings and the untuned
    user-level FLIP interface go away (a trap-free fast path), while the
    kernel stack is unchanged. *)
-let ablation_user_level_network ?pool () =
-  let user_mapped =
-    { default_profile with
-      p_psys =
-        { default_profile.p_psys with
-          Panda.System_layer.user_flip_extra = 0;
-          recv_fixed = Sim.Time.us 15 };
-      p_machine = { default_profile.p_machine with Mach.syscall_base = Sim.Time.us 3 } }
+let user_mapped c =
+  { c with
+    Params.panda_system =
+      { c.Params.panda_system with
+        Panda.System_layer.user_flip_extra = 0;
+        recv_fixed = Sim.Time.us 15 };
+    machine = { c.Params.machine with Mach.syscall_base = Sim.Time.us 3 } }
+
+let ablation_user_level_network ?pool ?net () =
+  let mapped proto () =
+    latency_ms ?net ~costs:(user_mapped Params.calibrated) ~proto ~impl:Cluster.User
+      ~size:0 ()
   in
   (* Only the user columns are meaningful under the modified machine: the
-     kernel numbers come from the untouched default profile. *)
+     kernel numbers come from the calibrated costs. *)
   let base_user, mapped_user, base_kernel, grp_base_user, grp_mapped_user,
       grp_base_kernel =
     match
       run_cells ?pool
         [
-          (fun () -> rpc_latency ~impl:`User ~size:0 ());
-          (fun () -> rpc_latency ~profile:user_mapped ~impl:`User ~size:0 ());
-          (fun () -> rpc_latency ~impl:`Kernel ~size:0 ());
-          (fun () -> group_latency ~impl:`User ~size:0 ());
-          (fun () -> group_latency ~profile:user_mapped ~impl:`User ~size:0 ());
-          (fun () -> group_latency ~impl:`Kernel ~size:0 ());
+          (fun () -> rpc_latency ?net ~impl:Cluster.User ~size:0 ());
+          mapped `Rpc;
+          (fun () -> rpc_latency ?net ~impl:Cluster.Kernel ~size:0 ());
+          (fun () -> group_latency ?net ~impl:Cluster.User ~size:0 ());
+          mapped `Group;
+          (fun () -> group_latency ?net ~impl:Cluster.Kernel ~size:0 ());
         ]
     with
     | [ a; b; c; d; e; f ] -> (a, b, c, d, e, f)
@@ -974,19 +857,10 @@ let fault_sweep ?pool ?net ?(rates = [ 0.; 0.001; 0.01; 0.05 ]) ?(app_name = "ts
     ?(procs = 8) ?(seed = 1) () =
   let app = Runner.app_named app_name in
   Runner.prepare app;
-  let profile =
-    match net with Some np -> with_net np default_profile | None -> default_profile
-  in
   let cell impl rate () =
     let faults = if rate > 0. then Some (Faults.Spec.loss ~seed rate) else None in
-    let micro =
-      match impl with
-      | Cluster.Kernel -> `Kernel
-      | Cluster.User_optimized -> `Opt
-      | _ -> `User
-    in
-    let rpc = rpc_latency ?faults ~profile ~impl:micro ~size:0 () in
-    let grp = group_latency ?faults ~profile ~impl:micro ~size:0 () in
+    let rpc = rpc_latency ?faults ?net ~impl ~size:0 () in
+    let grp = group_latency ?faults ?net ~impl ~size:0 () in
     let o = Runner.run ?faults ?net ~checked:true ~impl ~procs app in
     {
       fw_impl = impl;
@@ -1263,6 +1137,35 @@ type xcell = {
   xc_dht_violations : int;
 }
 
+(* Each resource's utilization over a window of [window], from its busy
+   time at the window's two edges. *)
+let utilization ~window before after =
+  let window_s = Sim.Time.to_sec window in
+  Array.mapi (fun i b -> Float.max 0. (Sim.Time.to_sec (after.(i) - b) /. window_s)) before
+
+(* Snapshots every segment's busy time at the load window's two edges,
+   running [also edge] in the same events (edge 0 is the window's start,
+   1 its end).  Both are read-only, so their order within the instant is
+   immaterial; call this before building the stack, as the event order of
+   pinned results requires.  Returns each segment's utilization over the
+   window, to read once the engine has drained. *)
+let window_snapshots ?(also = ignore) cluster cfg =
+  let eng = cluster.Cluster.eng in
+  let segs = cluster.Cluster.topo.Net.Topology.segments in
+  let busy = Array.init 2 (fun _ -> Array.make (Array.length segs) 0) in
+  let t0 = Sim.Engine.now eng in
+  List.iteri
+    (fun edge at ->
+      ignore
+        (Sim.Engine.at eng at (fun () ->
+             Array.iteri (fun i s -> busy.(edge).(i) <- Net.Segment.busy_time s) segs;
+             also edge)))
+    [ t0 + cfg.Load.Clients.warmup; t0 + cfg.Load.Clients.warmup + cfg.Load.Clients.window ];
+  fun () -> utilization ~window:cfg.Load.Clients.window busy.(0) busy.(1)
+
+let max_of = Array.fold_left Float.max 0.
+let sum_of = Array.fold_left ( +. ) 0.
+
 (* One DHT measurement on a fresh cluster.  Returns the window metrics
    plus the ledger partition, the busiest segment's utilization over the
    window, and the DHT's own coherence counters (client-observed torn
@@ -1273,21 +1176,7 @@ let dht_cell ?faults ?checked ~net ~stack ~read_pct ~params ~nodes cfg () =
   let eng = cluster.Cluster.eng in
   let dp = { params with Apps.Dht.dh_read_pct = read_pct } in
   let recorder = Obs.Recorder.create () in
-  (* Wire-busy snapshots at the window edges (scheduled before the load
-     generator's own edge callbacks; segment busy time is not touched by
-     either callback, so the order within the instant is immaterial). *)
-  let segs = cluster.Cluster.topo.Net.Topology.segments in
-  let wire0 = Array.make (Array.length segs) 0 in
-  let wire1 = Array.make (Array.length segs) 0 in
-  let t0 = Sim.Engine.now eng in
-  ignore
-    (Sim.Engine.at eng (t0 + cfg.Load.Clients.warmup) (fun () ->
-         Array.iteri (fun i s -> wire0.(i) <- Net.Segment.busy_time s) segs));
-  ignore
-    (Sim.Engine.at eng
-       (t0 + cfg.Load.Clients.warmup + cfg.Load.Clients.window)
-       (fun () ->
-         Array.iteri (fun i s -> wire1.(i) <- Net.Segment.busy_time s) segs));
+  let wire = window_snapshots cluster cfg in
   let dht =
     match stack with
     | Cluster.Rpc_stack _ ->
@@ -1304,16 +1193,8 @@ let dht_cell ?faults ?checked ~net ~stack ~read_pct ~params ~nodes cfg () =
       ()
   in
   let m = { m with Load.Metrics.violations = (Cell.finish cell).Cell.n_violations } in
-  let window_s = Sim.Time.to_sec cfg.Load.Clients.window in
-  let wire_util = ref 0. in
-  Array.iteri
-    (fun i _ ->
-      wire_util :=
-        Float.max !wire_util
-          (Float.max 0. (Sim.Time.to_sec (wire1.(i) - wire0.(i)) /. window_s)))
-    segs;
   let dviol = Apps.Dht.violations dht + Apps.Dht.check_at_rest dht in
-  (m, os_ledger_of recorder, !wire_util, Apps.Dht.gets dht, Apps.Dht.puts dht, dviol)
+  (m, os_ledger_of recorder, max_of (wire ()), Apps.Dht.gets dht, Apps.Dht.puts dht, dviol)
 
 let crossover_nets = [ Params.net10m; Params.net100m; Params.net1g ]
 
@@ -1464,10 +1345,10 @@ let pp_crossover_row fmt r =
     (if r.xs_os_wins then "ONE-SIDED WINS" else "rpc holds")
     r.xs_mechanism
 
-let ablation_continuations ?pool ?(procs = 16) () =
+let ablation_continuations ?pool ?net ?(procs = 16) () =
   let app = Runner.app_named "rl" in
   match
-    Runner.run_many ?pool [ (Cluster.Kernel, procs, app); (Cluster.User, procs, app) ]
+    Runner.run_many ?pool ?net [ (Cluster.Kernel, procs, app); (Cluster.User, procs, app) ]
   with
   | [ k; u ] ->
     [
@@ -1547,38 +1428,27 @@ let cluster_cell ?faults ?checked ?net ?lanes ?(shards = 32) ?(replicas = 1)
       (fun r -> r <> controller && not (Array.mem r server_ranks))
       (List.init nodes Fun.id)
   in
-  (* Window-edge snapshots of the wire, switch and server-machine ledgers
-     (read-only, so their order within the instant is immaterial). *)
-  let segs = cluster.Cluster.topo.Net.Topology.segments in
-  let nseg = Array.length segs in
-  let wire0 = Array.make nseg 0 and wire1 = Array.make nseg 0 in
-  let carried0 = ref 0 and carried1 = ref 0 in
-  let fwd0 = ref 0 and fwd1 = ref 0 in
-  let nsrv = Array.length server_ranks in
-  let srv0 = Array.make nsrv 0 and srv1 = Array.make nsrv 0 in
-  let snapshot wire carried fwd srv () =
-    Array.iteri (fun i s -> wire.(i) <- Net.Segment.busy_time s) segs;
-    carried :=
-      Array.fold_left (fun acc s -> acc + Net.Segment.frames_carried s) 0 segs;
-    (match cluster.Cluster.topo.Net.Topology.switch with
-     | Some sw -> fwd := Net.Switch.frames_forwarded sw
-     | None -> fwd := 0);
-    Array.iteri
-      (fun i rank ->
-        srv.(i) <-
-          Machine.Cpu.busy_time
-            (Machine.Mach.cpu cluster.Cluster.machines.(rank)))
-      server_ranks
+  (* The switch and server-machine ledgers at the window's edges, next to
+     the wire's. *)
+  let topo = cluster.Cluster.topo in
+  let carried = Array.make 2 0 and fwd = Array.make 2 0 in
+  let srv = Array.init 2 (fun _ -> Array.make (Array.length server_ranks) 0) in
+  let wire =
+    window_snapshots cluster cfg ~also:(fun edge ->
+        carried.(edge) <-
+          Array.fold_left
+            (fun acc s -> acc + Net.Segment.frames_carried s)
+            0 topo.Net.Topology.segments;
+        fwd.(edge) <-
+          (match topo.Net.Topology.switch with
+           | Some sw -> Net.Switch.frames_forwarded sw
+           | None -> 0);
+        Array.iteri
+          (fun i rank ->
+            srv.(edge).(i) <- Cpu.busy_time (Mach.cpu cluster.Cluster.machines.(rank)))
+          server_ranks)
   in
   let t0 = Sim.Engine.now eng in
-  ignore
-    (Sim.Engine.at eng
-       (t0 + cfg.Load.Clients.warmup)
-       (snapshot wire0 carried0 fwd0 srv0));
-  ignore
-    (Sim.Engine.at eng
-       (t0 + cfg.Load.Clients.warmup + cfg.Load.Clients.window)
-       (snapshot wire1 carried1 fwd1 srv1));
   let run_load service =
     Load.Clients.run_custom cfg ~eng ~machines:cluster.Cluster.machines
       ~label:(Cluster.stack_label stack) ~op_name:"shard" ~lane_of
@@ -1611,33 +1481,20 @@ let cluster_cell ?faults ?checked ?net ?lanes ?(shards = 32) ?(replicas = 1)
   Option.iter (Shard.Service.register_checker service) (Cell.checker cell);
   let m = run_load service in
   let m = { m with Load.Metrics.violations = (Cell.finish cell).Cell.n_violations } in
-  let window_s = Sim.Time.to_sec cfg.Load.Clients.window in
-  let wire_max = ref 0. and wire_sum = ref 0. in
-  Array.iteri
-    (fun i _ ->
-      let u = Float.max 0. (Sim.Time.to_sec (wire1.(i) - wire0.(i)) /. window_s) in
-      wire_max := Float.max !wire_max u;
-      wire_sum := !wire_sum +. u)
-    segs;
-  let srv_max = ref 0. and srv_sum = ref 0. in
-  Array.iteri
-    (fun i _ ->
-      let u = Float.max 0. (Sim.Time.to_sec (srv1.(i) - srv0.(i)) /. window_s) in
-      srv_max := Float.max !srv_max u;
-      srv_sum := !srv_sum +. u)
-    server_ranks;
-  let carried = !carried1 - !carried0 and fwd = !fwd1 - !fwd0 in
+  let wire = wire () in
+  let srv = utilization ~window:cfg.Load.Clients.window srv.(0) srv.(1) in
+  let carried = carried.(1) - carried.(0) and fwd = fwd.(1) - fwd.(0) in
   {
     cc_nodes = nodes;
     cc_stack = stack;
     cc_skew = skew;
     cc_metrics = m;
-    cc_wire_max = !wire_max;
-    cc_wire_mean = !wire_sum /. float_of_int nseg;
+    cc_wire_max = max_of wire;
+    cc_wire_mean = sum_of wire /. float_of_int (Array.length wire);
     cc_cross_frac = (if carried = 0 then 0. else float_of_int fwd /. float_of_int carried);
-    cc_switch_fps = float_of_int fwd /. window_s;
-    cc_server_max = !srv_max;
-    cc_server_mean = !srv_sum /. float_of_int nsrv;
+    cc_switch_fps = float_of_int fwd /. Sim.Time.to_sec cfg.Load.Clients.window;
+    cc_server_max = max_of srv;
+    cc_server_mean = sum_of srv /. float_of_int (Array.length srv);
     cc_gets = Shard.Service.gets service;
     cc_puts = Shard.Service.puts_acked service;
     cc_dedup_hits = Shard.Service.dedup_hits service;

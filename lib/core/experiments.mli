@@ -1,41 +1,18 @@
 (** Reproduction drivers for every table and in-text measurement of the
     paper's evaluation (§4 and §5). *)
 
-(** A complete set of cost parameters; ablations run the same experiment
-    under modified profiles. *)
-type profile = {
-  p_machine : Machine.Mach.config;
-  p_nic : Net.Nic.config;
-  p_segment : Net.Segment.config;
-  p_switch : Sim.Time.span;
-  p_flip : Flip.Flip_iface.config;
-  p_arpc : Amoeba.Rpc.config;
-  p_agrp : Amoeba.Group.config;
-  p_psys : Panda.System_layer.config;
-  p_prpc : Panda.Rpc.config;
-  p_pgrp : Panda.Group.config;
-}
-
-val default_profile : profile
-
-val with_net : Params.net_profile -> profile -> profile
-(** Re-skins the profile's wire, switch and NIC constants with a network
-    era's, keeping every machine and protocol cost at its 1995 value —
-    the microbenchmark side of the [--profile] switch. *)
-
-val optimize_profile : profile -> profile
-(** Switches the profile's Panda configs to the optimized user-space stack
-    (single fragmentation, scatter-gather zero-copy, compact merged
-    headers, receive fast path) — the same configs
-    {!Cluster.User_optimized} uses.  The [`Opt] impl below is shorthand
-    for the user code path under this transform. *)
-
 (** Every driver below optionally takes [?pool].  Each table cell,
     latency point, breakdown arm and ablation arm is an independent
     simulation; with a pool they run concurrently on its domains and are
     reassembled in canonical order, so the results — and thus every
     printed table — are identical to the sequential ([?pool] absent)
-    path. *)
+    path.
+
+    Every cell, the microbenchmarks' two- and four-machine pools
+    included, is built by {!Cell.create}.  [?net] selects the network
+    era (default {!Params.net10m}); the machine and protocol costs are
+    {!Params.calibrated}, and the optimized stack's are
+    {!Params.optimized} of them. *)
 
 (** {1 Table 1: latencies} *)
 
@@ -54,7 +31,7 @@ type lat_row = {
 val table1 :
   ?pool:Exec.Pool.t ->
   ?faults:Faults.Spec.t ->
-  ?profile:profile ->
+  ?net:Params.net_profile ->
   ?sizes:int list ->
   unit ->
   lat_row list
@@ -63,26 +40,33 @@ val table1 :
     freshly built network (per-cell injector streams, so [?pool] fan-out
     stays deterministic). *)
 
-val unicast_latency : ?faults:Faults.Spec.t -> ?profile:profile -> size:int -> unit -> float
+val unicast_latency :
+  ?faults:Faults.Spec.t -> ?net:Params.net_profile -> size:int -> unit -> float
 
 val multicast_latency :
-  ?faults:Faults.Spec.t -> ?profile:profile -> size:int -> unit -> float
+  ?faults:Faults.Spec.t -> ?net:Params.net_profile -> size:int -> unit -> float
 
 val rpc_latency :
   ?faults:Faults.Spec.t ->
-  ?profile:profile ->
-  impl:[ `User | `Kernel | `Opt ] ->
+  ?net:Params.net_profile ->
+  impl:Cluster.impl ->
   size:int ->
   unit ->
   float
+(** Per-round latency, ms, of a null-server RPC between two machines.
+    @raise Invalid_argument for [User_dedicated]: the two-machine pool
+    has no dedicated sequencer machine. *)
 
 val group_latency :
   ?faults:Faults.Spec.t ->
-  ?profile:profile ->
-  impl:[ `User | `Kernel | `Opt ] ->
+  ?net:Params.net_profile ->
+  impl:Cluster.impl ->
   size:int ->
   unit ->
   float
+(** Per-round latency, ms, of one member's sends to a two-member group
+    whose sequencer is on the other machine.
+    @raise Invalid_argument for [User_dedicated], as {!rpc_latency}. *)
 
 (** {1 Table 2: throughputs} *)
 
@@ -94,7 +78,11 @@ type tput_row = {
 }
 
 val table2 :
-  ?pool:Exec.Pool.t -> ?faults:Faults.Spec.t -> ?profile:profile -> unit -> tput_row list
+  ?pool:Exec.Pool.t ->
+  ?faults:Faults.Spec.t ->
+  ?net:Params.net_profile ->
+  unit ->
+  tput_row list
 
 (** {1 Table 3: the six applications} *)
 
@@ -361,17 +349,22 @@ val pp_crossover_row : Format.formatter -> crossover_row -> unit
 
 (** {1 In-text breakdowns (§4.2, §4.3)} *)
 
-val rpc_breakdown : ?pool:Exec.Pool.t -> unit -> (string * float) list
+val rpc_breakdown :
+  ?pool:Exec.Pool.t -> ?net:Params.net_profile -> unit -> (string * float) list
 (** Overhead components of the user-kernel null-RPC gap, in µs, found by
-    re-measuring under profiles with single mechanisms disabled.  Labels
+    re-measuring under costs with single mechanisms disabled.  Labels
     match the paper's accounting. *)
 
-val group_breakdown : ?pool:Exec.Pool.t -> unit -> (string * float) list
+val group_breakdown :
+  ?pool:Exec.Pool.t -> ?net:Params.net_profile -> unit -> (string * float) list
 
 (** {1 Measured breakdowns (observability ledger)} *)
 
 val measured_breakdown :
-  ?pool:Exec.Pool.t -> unit -> (string * float) list * (string * float) list
+  ?pool:Exec.Pool.t ->
+  ?net:Params.net_profile ->
+  unit ->
+  (string * float) list * (string * float) list
 (** [(rpc_rows, group_rows)]: the §4.2/§4.3 accounting re-derived from the
     cost-attribution ledger of recorded null-latency runs (only the
     measured rounds are recorded).  RPC rows are user-kernel deltas in µs
@@ -380,7 +373,11 @@ val measured_breakdown :
     extra RPC rows beyond {!rpc_breakdown} itemise the rest of the gap. *)
 
 val recorded_rpc :
-  ?impl:[ `User | `Kernel | `Opt ] -> ?size:int -> unit -> Obs.Recorder.t * Sim.Time.span
+  ?net:Params.net_profile ->
+  ?impl:Cluster.impl ->
+  ?size:int ->
+  unit ->
+  Obs.Recorder.t * Sim.Time.span
 (** Runs one Table 1 RPC benchmark (default: user-space, null) with a
     span-keeping recorder installed for the whole run (the recorder behind
     [--trace] and [--obs]); returns the recorder and the
@@ -409,7 +406,8 @@ val mechanism_of_cause : Obs.Cause.t -> string option
 (** Which of the four optimizations owns savings under this cause; [None]
     for causes no mechanism may touch ([Fault_wire], [Idle]). *)
 
-val optimized_breakdown : ?pool:Exec.Pool.t -> unit -> opt_breakdown * opt_breakdown
+val optimized_breakdown :
+  ?pool:Exec.Pool.t -> ?net:Params.net_profile -> unit -> opt_breakdown * opt_breakdown
 (** [(rpc, group)]: ledger-cell-exact accounting of where the optimized
     stack's savings come from, from recorded baseline-user and
     optimized-user null runs.  Because the four mechanisms are disjoint in
@@ -421,26 +419,32 @@ val pp_opt_breakdown : Format.formatter -> opt_breakdown -> unit
 (** {1 Ablations} *)
 
 val ablation_dedicated_sequencer :
-  ?pool:Exec.Pool.t -> ?procs:int list -> unit -> Runner.outcome list
+  ?pool:Exec.Pool.t ->
+  ?net:Params.net_profile ->
+  ?procs:int list ->
+  unit ->
+  Runner.outcome list
 (** LEQ under user-space protocols with and without a dedicated
     sequencer. *)
 
-val ablation_nonblocking : ?pool:Exec.Pool.t -> unit -> (string * float) list
+val ablation_nonblocking :
+  ?pool:Exec.Pool.t -> ?net:Params.net_profile -> unit -> (string * float) list
 (** Group latency perceived by the sender: blocking vs the §6 nonblocking
     broadcast, microbenchmark. *)
 
-val ablation_migration : ?pool:Exec.Pool.t -> unit -> (string * float) list
+val ablation_migration :
+  ?pool:Exec.Pool.t -> ?net:Params.net_profile -> unit -> (string * float) list
 (** Adaptive object placement (the paper's §2 runtime heuristic) vs static
     placement, for a heavily skewed access pattern. *)
 
 val ablation_user_level_network :
-  ?pool:Exec.Pool.t -> unit -> (string * float) list
+  ?pool:Exec.Pool.t -> ?net:Params.net_profile -> unit -> (string * float) list
 (** The paper's §6 projection: give the user-space stack direct network
     access (no per-packet system calls, no untuned FLIP interface) and
     compare its null latencies against today's stacks. *)
 
 val ablation_continuations :
-  ?pool:Exec.Pool.t -> ?procs:int -> unit -> (string * float) list
+  ?pool:Exec.Pool.t -> ?net:Params.net_profile -> ?procs:int -> unit -> (string * float) list
 (** RL with guarded operations: kernel (blocked server thread) vs user
     (continuations), runtimes in seconds. *)
 

@@ -1,15 +1,3 @@
-let machine =
-  {
-    Machine.Mach.ctx_warm = Sim.Time.us 60;
-    ctx_cold_idle = Sim.Time.us 70;
-    ctx_cold_preempt = Sim.Time.us 110;
-    interrupt_entry = Sim.Time.us 15;
-    syscall_base = Sim.Time.us 25;
-    trap_cost = Sim.Time.us 6;
-    lock_cost = Sim.Time.us 1;
-    reg_windows = 6;
-  }
-
 let nic =
   {
     Net.Nic.rx_base = Sim.Time.us 110;
@@ -23,97 +11,116 @@ let segment =
 
 let switch_latency = Sim.Time.us 50
 
-let flip =
-  {
-    Flip.Flip_iface.header_bytes = 40;
-    mtu = 1460;
-    out_packet_cost = Sim.Time.us 60;
-    loopback_cost = Sim.Time.us 40;
-    locate_timeout = Sim.Time.ms 100;
-    locate_retries = 5;
-  }
+type costs = {
+  machine : Machine.Mach.config;
+  flip : Flip.Flip_iface.config;
+  amoeba_rpc : Amoeba.Rpc.config;
+  amoeba_group : Amoeba.Group.config;
+  panda_system : Panda.System_layer.config;
+  panda_rpc : Panda.Rpc.config;
+  panda_group : Panda.Group.config;
+}
 
-let amoeba_rpc =
+let calibrated =
   {
-    Amoeba.Rpc.header_bytes = 56;
-    copy_byte = Sim.Time.ns 50;
-    deliver_fixed = Sim.Time.us 350;
-    call_depth = 2;
-    retrans_timeout = Sim.Time.ms 200;
-    max_retries = 10;
-  }
-
-let amoeba_group =
-  {
-    Amoeba.Group.header_bytes = 52;
-    accept_bytes = 32;
-    copy_byte = Sim.Time.ns 50;
-    deliver_fixed = Sim.Time.us 250;
-    seq_process = Sim.Time.us 150;
-    seq_batch_max = 1;
-    seq_order_item = Sim.Time.us 40;
-    call_depth = 2;
-    bb_threshold = 1460;
-    retrans_timeout = Sim.Time.ms 200;
-    max_retries = 10;
-    history_high = 512;
-  }
-
-let panda_system =
-  {
-    Panda.System_layer.pan_header = 16;
-    frag_bytes = 1400;
-    frag_cost = Sim.Time.us 20;
-    copy_byte = Sim.Time.ns 50;
-    recv_fixed = Sim.Time.us 50;
-    upcall_depth = 3;
-    send_depth = 3;
-    user_flip_extra = Sim.Time.us 40;
-    single_frag = false;
-    sg_copy = false;
-    rx_fastpath = false;
-  }
-
-let panda_rpc =
-  {
-    Panda.Rpc.header_bytes = 64;
-    call_depth = 2;
-    proc_cost = Sim.Time.us 80;
-    ack_delay = Sim.Time.ms 20;
-    retrans_timeout = Sim.Time.ms 200;
-    max_retries = 10;
-  }
-
-let panda_group =
-  {
-    Panda.Group.header_bytes = 40;
-    accept_bytes = 24;
-    order_fixed = Sim.Time.us 190;
-    deliver_cost = Sim.Time.us 90;
-    copy_byte = Sim.Time.ns 50;
-    bb_threshold = 1300;
-    retrans_timeout = Sim.Time.ms 200;
-    max_retries = 10;
-    history_high = 512;
+    machine =
+      {
+        Machine.Mach.ctx_warm = Sim.Time.us 60;
+        ctx_cold_idle = Sim.Time.us 70;
+        ctx_cold_preempt = Sim.Time.us 110;
+        interrupt_entry = Sim.Time.us 15;
+        syscall_base = Sim.Time.us 25;
+        trap_cost = Sim.Time.us 6;
+        lock_cost = Sim.Time.us 1;
+        reg_windows = 6;
+      };
+    flip =
+      {
+        Flip.Flip_iface.header_bytes = 40;
+        mtu = 1460;
+        out_packet_cost = Sim.Time.us 60;
+        loopback_cost = Sim.Time.us 40;
+        locate_timeout = Sim.Time.ms 100;
+        locate_retries = 5;
+      };
+    amoeba_rpc =
+      {
+        Amoeba.Rpc.header_bytes = 56;
+        copy_byte = Sim.Time.ns 50;
+        deliver_fixed = Sim.Time.us 350;
+        call_depth = 2;
+        retrans_timeout = Sim.Time.ms 200;
+        max_retries = 10;
+      };
+    amoeba_group =
+      {
+        Amoeba.Group.header_bytes = 52;
+        accept_bytes = 32;
+        copy_byte = Sim.Time.ns 50;
+        deliver_fixed = Sim.Time.us 250;
+        seq_process = Sim.Time.us 150;
+        seq_batch_max = 1;
+        seq_order_item = Sim.Time.us 40;
+        call_depth = 2;
+        bb_threshold = 1460;
+        retrans_timeout = Sim.Time.ms 200;
+        max_retries = 10;
+        history_high = 512;
+      };
+    panda_system =
+      {
+        Panda.System_layer.pan_header = 16;
+        frag_bytes = 1400;
+        frag_cost = Sim.Time.us 20;
+        copy_byte = Sim.Time.ns 50;
+        recv_fixed = Sim.Time.us 50;
+        upcall_depth = 3;
+        send_depth = 3;
+        user_flip_extra = Sim.Time.us 40;
+        single_frag = false;
+        sg_copy = false;
+        rx_fastpath = false;
+      };
+    panda_rpc =
+      {
+        Panda.Rpc.header_bytes = 64;
+        call_depth = 2;
+        proc_cost = Sim.Time.us 80;
+        ack_delay = Sim.Time.ms 20;
+        retrans_timeout = Sim.Time.ms 200;
+        max_retries = 10;
+      };
+    panda_group =
+      {
+        Panda.Group.header_bytes = 40;
+        accept_bytes = 24;
+        order_fixed = Sim.Time.us 190;
+        deliver_cost = Sim.Time.us 90;
+        copy_byte = Sim.Time.ns 50;
+        bb_threshold = 1300;
+        retrans_timeout = Sim.Time.ms 200;
+        max_retries = 10;
+        history_high = 512;
+      };
   }
 
 (* The optimized user-space stack (the paper's §6 "what could be fixed"
    program): same calibrated machine, different protocol engineering.
    Every difference is a mechanism the cost model can see — no cell of
    Table 1 is adjusted directly. *)
-
-let panda_system_opt =
+let optimized c =
   {
-    panda_system with
-    Panda.System_layer.single_frag = true;
-    sg_copy = true;
-    rx_fastpath = true;
+    c with
+    panda_system =
+      {
+        c.panda_system with
+        Panda.System_layer.single_frag = true;
+        sg_copy = true;
+        rx_fastpath = true;
+      };
+    panda_rpc = { c.panda_rpc with Panda.Rpc.header_bytes = 60 };
+    panda_group = { c.panda_group with Panda.Group.header_bytes = 36; accept_bytes = 20 };
   }
-
-let panda_rpc_opt = { panda_rpc with Panda.Rpc.header_bytes = 60 }
-
-let panda_group_opt =
-  { panda_group with Panda.Group.header_bytes = 36; accept_bytes = 20 }
 
 let rts_overhead = Sim.Time.us 10
 let pool_size_max = 32

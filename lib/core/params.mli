@@ -8,26 +8,34 @@
     preempting switch, 60 µs warm switch, 20 µs duplicated fragmentation,
     56/64-byte RPC and 52/40-byte group headers. *)
 
-val machine : Machine.Mach.config
 val nic : Net.Nic.config
 val segment : Net.Segment.config
 val switch_latency : Sim.Time.span
-val flip : Flip.Flip_iface.config
-val amoeba_rpc : Amoeba.Rpc.config
-val amoeba_group : Amoeba.Group.config
-val panda_system : Panda.System_layer.config
-val panda_rpc : Panda.Rpc.config
-val panda_group : Panda.Group.config
 
-val panda_system_opt : Panda.System_layer.config
-(** {!panda_system} with the three optimization mechanisms enabled:
-    single fragmentation, scatter-gather zero-copy, receive fast path. *)
+(** The era-independent costs: the machine, FLIP, and the protocol
+    software of both stacks — everything above the NIC.  Every cell
+    builds its machines and stacks from one such record
+    ({!Cluster.create}'s [?costs]); the wire, switch and NIC come from a
+    {!net_profile}. *)
+type costs = {
+  machine : Machine.Mach.config;
+  flip : Flip.Flip_iface.config;
+  amoeba_rpc : Amoeba.Rpc.config;  (** kernel-space RPC *)
+  amoeba_group : Amoeba.Group.config;  (** kernel-space group *)
+  panda_system : Panda.System_layer.config;  (** user-space system layer *)
+  panda_rpc : Panda.Rpc.config;  (** user-space RPC *)
+  panda_group : Panda.Group.config;  (** user-space group *)
+}
 
-val panda_rpc_opt : Panda.Rpc.config
-(** {!panda_rpc} with the merged compact Panda+RPC header. *)
+val calibrated : costs
+(** The costs calibrated against the paper's Tables 1 and 2. *)
 
-val panda_group_opt : Panda.Group.config
-(** {!panda_group} with the merged compact Panda+group header. *)
+val optimized : costs -> costs
+(** The one definition of the optimized user-space stack: [c] with the
+    three system-layer mechanisms enabled (single fragmentation,
+    scatter-gather zero-copy, receive fast path) and the merged compact
+    Panda+RPC and Panda+group headers.  The machine, FLIP and the
+    kernel-space stack are untouched. *)
 
 val rts_overhead : Sim.Time.span
 

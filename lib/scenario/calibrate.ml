@@ -61,7 +61,7 @@ let delivery_probe ~machine ~(net : Core.Params.net_profile) ~cross ~payload () 
   if !delivered < 0 then failwith "Calibrate: probe frame was not delivered";
   !delivered
 
-let measure ?(machine = Core.Params.machine) ~net () =
+let measure ?(machine = Core.Params.(calibrated.machine)) ~net () =
   let uni p =
     frame_probe ~machine ~net ~dest:(Net.Frame.Unicast 1) ~payload:p ()
   in
@@ -145,9 +145,7 @@ let fit ?(name = "fitted") ?label m =
 
 let verify ~reference fitted =
   let lat net =
-    Core.Experiments.rpc_latency
-      ~profile:(Core.Experiments.with_net net Core.Experiments.default_profile)
-      ~impl:`User ~size:0 ()
+    Core.Experiments.rpc_latency ~net ~impl:Core.Cluster.User ~size:0 ()
   in
   (lat reference, lat fitted)
 

@@ -43,7 +43,7 @@ type measurement = {
 val measure :
   ?machine:Machine.Mach.config -> net:Core.Params.net_profile -> unit -> measurement
 (** Runs the three probe simulations under [net] (machine constants
-    default to {!Core.Params.machine}) and collects the raw integer
+    default to {!Core.Params.calibrated}'s) and collects the raw integer
     observables.  Deterministic: no randomness anywhere. *)
 
 val fit :

@@ -6,7 +6,7 @@ open Sim
 open Machine
 open Net
 
-let machine_config = Core.Params.machine
+let machine_config = Core.Params.(calibrated.machine)
 
 let make_domain ?(extra = false) n kind =
   let eng = Engine.create () in

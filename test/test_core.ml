@@ -9,10 +9,10 @@ let test_table1_row_orderings () =
   let size = 0 in
   let uni = Core.Experiments.unicast_latency ~size () in
   let mc = Core.Experiments.multicast_latency ~size () in
-  let rpc_u = Core.Experiments.rpc_latency ~impl:`User ~size () in
-  let rpc_k = Core.Experiments.rpc_latency ~impl:`Kernel ~size () in
-  let grp_u = Core.Experiments.group_latency ~impl:`User ~size () in
-  let grp_k = Core.Experiments.group_latency ~impl:`Kernel ~size () in
+  let rpc_u = Core.Experiments.rpc_latency ~impl:Core.Cluster.User ~size () in
+  let rpc_k = Core.Experiments.rpc_latency ~impl:Core.Cluster.Kernel ~size () in
+  let grp_u = Core.Experiments.group_latency ~impl:Core.Cluster.User ~size () in
+  let grp_k = Core.Experiments.group_latency ~impl:Core.Cluster.Kernel ~size () in
   check_bool "multicast >= unicast" true (mc >= uni);
   check_bool "user RPC slower than kernel RPC" true (rpc_u > rpc_k);
   check_bool "user group slower than kernel group" true (grp_u > grp_k);
@@ -22,7 +22,7 @@ let test_table1_row_orderings () =
   check_bool "group gap sane" true (grp_u -. grp_k < 1.0)
 
 let test_latency_monotone_in_size () =
-  let lat size = Core.Experiments.rpc_latency ~impl:`User ~size () in
+  let lat size = Core.Experiments.rpc_latency ~impl:Core.Cluster.User ~size () in
   let l0 = lat 0 and l2 = lat 2048 and l4 = lat 4096 in
   check_bool "grows with size" true (l0 < l2 && l2 < l4);
   (* Slope must be at least the wire time (0.8 us/B both ways). *)

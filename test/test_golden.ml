@@ -54,10 +54,10 @@ let row_key r =
 let table1 = lazy (Core.Experiments.table1 ())
 let table2 = lazy (Core.Experiments.table2 ())
 
-let check_table1 rows =
+let check_table1 ?(era = "") ?(golden = golden_table1) rows =
   List.iter2
     (fun (size, u, m, ru, rk, gu, gk, ro, go) r ->
-      let tag col = Printf.sprintf "T1 %d %s" size col in
+      let tag col = Printf.sprintf "T1%s %d %s" era size col in
       Alcotest.(check int) (tag "size") size r.Core.Experiments.lr_size;
       exact (tag "unicast") u r.Core.Experiments.lr_unicast;
       exact (tag "multicast") m r.Core.Experiments.lr_multicast;
@@ -67,17 +67,17 @@ let check_table1 rows =
       exact (tag "grp kernel") gk r.Core.Experiments.lr_grp_kernel;
       exact (tag "rpc optimized") ro r.Core.Experiments.lr_rpc_opt;
       exact (tag "grp optimized") go r.Core.Experiments.lr_grp_opt)
-    golden_table1 rows
+    golden rows
 
-let check_table2 rows =
+let check_table2 ?(era = "") ?(golden = golden_table2) rows =
   List.iter2
     (fun (proto, u, k, o) r ->
-      let tag col = Printf.sprintf "T2 %s %s" proto col in
+      let tag col = Printf.sprintf "T2%s %s %s" era proto col in
       Alcotest.(check string) (tag "proto") proto r.Core.Experiments.tr_proto;
       exact (tag "user") u r.Core.Experiments.tr_user;
       exact (tag "kernel") k r.Core.Experiments.tr_kernel;
       exact (tag "optimized") o r.Core.Experiments.tr_opt)
-    golden_table2 rows
+    golden rows
 
 let test_table1_golden () = check_table1 (Lazy.force table1)
 let test_table2_golden () = check_table2 (Lazy.force table2)
@@ -164,7 +164,151 @@ let test_ledger_conservation () =
         (label ^ ": ledger CPU total equals CPU busy time")
         busy
         (Obs.Recorder.cpu_ns r + correction))
-    [ ("user", `User); ("kernel", `Kernel); ("optimized", `Opt) ]
+    Core.Cluster.[ ("user", User); ("kernel", Kernel); ("optimized", User_optimized) ]
+
+(* ---------- the other microbenchmarks ---------- *)
+
+(* Every other microbenchmark number the bench report prints, pinned as
+   bit-exactly as Tables 1-2: the tables on another network era, the
+   Sec. 4.2/4.3 breakdowns, the optimized differential's latencies, the
+   micro ablations, and the null latencies under two loss schedules (at
+   seed 3 no frame of the measured rounds is lost; at seed 9 every stack
+   pays retransmissions). *)
+
+let golden_table1_net100m =
+  [
+    (0, 0.41220000000000001, 0.4572, 1.22028, 0.97420000000000007, 1.2342,
+     1.0448200000000001, 1.0648, 1.1457200000000001);
+    (1024, 0.62724000000000002, 0.67224000000000006, 1.4353199999999999,
+     1.1380399999999999, 1.6642800000000002, 1.3212999999999999, 1.17744,
+     1.4221999999999999);
+    (2048, 0.9507199999999999, 1.0407199999999999, 1.75048, 1.32656,
+     2.5911599999999999, 1.4853000000000001, 1.4914400000000001,
+     2.1465199999999998);
+    (3072, 1.22532, 1.36032, 2.02508, 1.4877199999999999, 2.7791600000000001,
+     1.68842, 1.66144, 2.2547199999999998);
+    (4096, 1.30724, 1.44224, 2.1070000000000002, 1.5696400000000001,
+     2.81088, 1.7703399999999998, 1.6921600000000001, 2.2854399999999999);
+  ]
+
+let golden_table2_net100m =
+  [
+    ("RPC", 2606.4603517762298, 3685.6978411835753, 3269.2114557353998);
+    ("group", 1690.9276456118669, 3588.3340675862241, 2014.5139552633932);
+  ]
+
+let golden_rpc_breakdown =
+  [
+    ("total user-kernel gap", 282.0800000000001);
+    ("context switches", 140.00000000000011);
+    ("register-window traps", 24.000000000000227);
+    ("double fragmentation", 40.000000000000028);
+    ("header size difference", 15.360000000000241);
+    ("untuned user-level FLIP interface", 160.00000000000011);
+  ]
+
+let golden_group_breakdown =
+  [
+    ("total user-kernel gap", 195.37999999999988);
+    ("context switches (user path)", 210.);
+    ("register-window traps (user path)", 18.);
+    ("double fragmentation (user path)", 40.);
+    ("header size difference", -22.4399999999996);
+    ("untuned user-level FLIP interface (user path)", 160.);
+  ]
+
+(* base, optimized, kernel — µs/round. *)
+let golden_optimized_rpc = (1555., 1393.52, 1272.9200000000001)
+let golden_optimized_group = (1577.9200000000001, 1483.4400000000001, 1382.5400000000002)
+
+let golden_nonblocking =
+  [ ("blocking send (ms)", 1.7007999999999999); ("nonblocking send (ms)", 0.18193999999999999) ]
+
+let golden_migration =
+  [
+    ("static placement (remote owner), ms", 653.61440000000005);
+    ("adaptive placement, ms", 51.662799999999997);
+    ("migrations", 1.);
+  ]
+
+let golden_user_level_network =
+  [
+    ("RPC user (today), ms", 1.5550000000000002);
+    ("RPC user with user-level network, ms", 1.2150000000000001);
+    ("RPC kernel (reference), ms", 1.2729200000000001);
+    ("group user (today), ms", 1.57792);
+    ("group user with user-level network, ms", 1.2729200000000001);
+    ("group kernel (reference), ms", 1.3825400000000001);
+  ]
+
+(* (seed, loss), then per stack the null RPC and group latencies, ms. *)
+let golden_lossy =
+  [
+    ( (3, 0.05),
+      [
+        ("kernel", 1.2729200000000001, 1.3825400000000001);
+        ("user", 1.5550000000000002, 1.57792);
+        ("optimized", 1.3935200000000001, 1.4834400000000001);
+      ] );
+    ( (9, 0.1),
+      [
+        ("kernel", 81.215920000000011, 61.388539999999999);
+        ("user", 81.592200000000005, 61.529620000000001);
+        ("optimized", 81.430719999999994, 61.446900000000007);
+      ] );
+  ]
+
+let micro_stacks = Core.Cluster.[ ("kernel", Kernel); ("user", User); ("optimized", User_optimized) ]
+let table1_net100m () = Core.Experiments.table1 ~net:Core.Params.net100m ()
+let table2_net100m () = Core.Experiments.table2 ~net:Core.Params.net100m ()
+
+let lossy_null ~seed ~loss impl =
+  let faults = Faults.Spec.loss ~seed loss in
+  ( Core.Experiments.rpc_latency ~faults ~impl ~size:0 (),
+    Core.Experiments.group_latency ~faults ~impl ~size:0 () )
+
+let check_rows name golden rows =
+  Alcotest.(check (list string))
+    (name ^ ": labels") (List.map fst golden) (List.map fst rows);
+  List.iter2 (fun (label, g) (_, v) -> exact (name ^ ": " ^ label) g v) golden rows
+
+let test_tables_net100m () =
+  check_table1 ~era:" net100m" ~golden:golden_table1_net100m (table1_net100m ());
+  check_table2 ~era:" net100m" ~golden:golden_table2_net100m (table2_net100m ())
+
+let test_breakdowns_pinned () =
+  check_rows "rpc breakdown" golden_rpc_breakdown (Core.Experiments.rpc_breakdown ());
+  check_rows "group breakdown" golden_group_breakdown
+    (Core.Experiments.group_breakdown ());
+  let rpc_o, grp_o = Core.Experiments.optimized_breakdown () in
+  List.iter
+    (fun (name, (base, opt, kernel), o) ->
+      exact (name ^ " base") base o.Core.Experiments.ob_base_us;
+      exact (name ^ " optimized") opt o.Core.Experiments.ob_opt_us;
+      exact (name ^ " kernel") kernel o.Core.Experiments.ob_kernel_us)
+    [
+      ("optimized rpc", golden_optimized_rpc, rpc_o);
+      ("optimized group", golden_optimized_group, grp_o);
+    ]
+
+let test_ablations_pinned () =
+  check_rows "nonblocking" golden_nonblocking (Core.Experiments.ablation_nonblocking ());
+  check_rows "migration" golden_migration (Core.Experiments.ablation_migration ());
+  check_rows "user-level network" golden_user_level_network
+    (Core.Experiments.ablation_user_level_network ())
+
+let test_lossy_pinned () =
+  List.iter
+    (fun ((seed, loss), stacks) ->
+      List.iter2
+        (fun (label, rpc, grp) (label', impl) ->
+          Alcotest.(check string) "stack order" label label';
+          let tag s = Printf.sprintf "seed=%d loss=%g %s %s" seed loss label s in
+          let rpc', grp' = lossy_null ~seed ~loss impl in
+          exact (tag "rpc") rpc rpc';
+          exact (tag "group") grp grp')
+        stacks micro_stacks)
+    golden_lossy
 
 let () =
   Alcotest.run "golden"
@@ -177,6 +321,13 @@ let () =
           Alcotest.test_case "optimized ordering" `Slow test_optimized_ordering;
           Alcotest.test_case "optimized attribution" `Slow
             test_optimized_attribution;
+        ] );
+      ( "micro",
+        [
+          Alcotest.test_case "tables 1-2 at net100m pinned" `Quick test_tables_net100m;
+          Alcotest.test_case "breakdowns pinned" `Quick test_breakdowns_pinned;
+          Alcotest.test_case "micro ablations pinned" `Quick test_ablations_pinned;
+          Alcotest.test_case "null latencies under loss pinned" `Quick test_lossy_pinned;
         ] );
       ( "ledger",
         [ Alcotest.test_case "conservation per stack" `Quick test_ledger_conservation ] );

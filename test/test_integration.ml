@@ -16,7 +16,7 @@ let check_bool = Alcotest.(check bool)
 let pool n =
   let eng = Engine.create () in
   let machines =
-    Array.init n (fun i -> Mach.create eng ~id:i ~name:(Printf.sprintf "m%d" i) Core.Params.machine)
+    Array.init n (fun i -> Mach.create eng ~id:i ~name:(Printf.sprintf "m%d" i) Core.Params.(calibrated.machine))
   in
   let topo = Topology.build eng ~machines () in
   let flips =

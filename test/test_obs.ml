@@ -220,10 +220,10 @@ let test_measured_breakdown_matches_analytic () =
 (* Recording must not perturb the simulation: latencies measured with a
    recorder installed equal the unrecorded ones. *)
 let test_recording_is_zero_cost () =
-  let unrecorded = Core.Experiments.rpc_latency ~impl:`User ~size:0 () in
+  let unrecorded = Core.Experiments.rpc_latency ~impl:Core.Cluster.User ~size:0 () in
   let r, _ = Lazy.force recorded in
   ignore r;
-  let again = Core.Experiments.rpc_latency ~impl:`User ~size:0 () in
+  let again = Core.Experiments.rpc_latency ~impl:Core.Cluster.User ~size:0 () in
   Alcotest.(check (float 0.)) "latency unchanged by recording" unrecorded again
 
 (* ---------- json ---------- *)
