@@ -62,6 +62,11 @@ let paper_table3 =
       ] );
   ]
 
+(* A measurement printed with [fmt], or [absent] where a run under faults
+   produced none. *)
+let measured fmt absent = function Some v -> Printf.sprintf fmt v | None -> absent
+let count_none l = List.length (List.filter Option.is_none l)
+
 let table1 c =
   hr
     "Table 1: communication latencies [ms] (paper values in parentheses; \
@@ -77,30 +82,52 @@ let table1 c =
   List.iter2
     (fun r (_, (pu, pm, pru, prk, pgu, pgk)) ->
       Printf.printf
-        "%6d  %5.2f (%4.2f)   %5.2f (%4.2f)   %5.2f (%4.2f)   %5.2f (%4.2f)   %5.2f (%4.2f)   %5.2f (%4.2f)   %5.2f     %5.2f\n"
-        r.Core.Experiments.lr_size r.Core.Experiments.lr_unicast pu
-        r.Core.Experiments.lr_multicast pm r.Core.Experiments.lr_rpc_user pru
-        r.Core.Experiments.lr_rpc_kernel prk r.Core.Experiments.lr_grp_user pgu
-        r.Core.Experiments.lr_grp_kernel pgk r.Core.Experiments.lr_rpc_opt
-        r.Core.Experiments.lr_grp_opt)
+        "%6d  %5s (%4.2f)   %5s (%4.2f)   %5.2f (%4.2f)   %5.2f (%4.2f)   %5.2f (%4.2f)   %5.2f (%4.2f)   %5.2f     %5.2f\n"
+        r.Core.Experiments.lr_size
+        (measured "%5.2f" "lost" r.Core.Experiments.lr_unicast)
+        pu
+        (measured "%5.2f" "lost" r.Core.Experiments.lr_multicast)
+        pm r.Core.Experiments.lr_rpc_user pru r.Core.Experiments.lr_rpc_kernel prk
+        r.Core.Experiments.lr_grp_user pgu r.Core.Experiments.lr_grp_kernel pgk
+        r.Core.Experiments.lr_rpc_opt r.Core.Experiments.lr_grp_opt)
     rows paper_table1;
-  (None, 0)
+  let lost =
+    count_none
+      (List.concat_map
+         (fun r -> Core.Experiments.[ r.lr_unicast; r.lr_multicast ])
+         rows)
+  in
+  if lost > 0 then
+    Printf.printf
+      "WARNING: %d raw ping-pong runs lost a message (the system layer does not \
+       retransmit)\n"
+      lost;
+  (None, lost)
 
 let table2 c =
   hr
     "Table 2: communication throughputs [KB/s] (paper values in parentheses; \
      optimized column is this reproduction's own)";
   let paper = [ ("RPC", (825., 897.)); ("group", (941., 941.)) ] in
+  let rows =
+    with_pool c.jobs (fun ?pool () ->
+        Core.Experiments.table2 ?pool ?faults:c.faults ~net:c.net ())
+  in
+  let kbs = measured "%5.0f" "failed" in
   List.iter2
     (fun r (_, (pu, pk)) ->
-      Printf.printf
-        "%-6s  user %5.0f (%4.0f)   kernel %5.0f (%4.0f)   optimized %5.0f\n"
-        r.Core.Experiments.tr_proto r.Core.Experiments.tr_user pu
-        r.Core.Experiments.tr_kernel pk r.Core.Experiments.tr_opt)
-    (with_pool c.jobs (fun ?pool () ->
-         Core.Experiments.table2 ?pool ?faults:c.faults ~net:c.net ()))
-    paper;
-  (None, 0)
+      Printf.printf "%-6s  user %5s (%4.0f)   kernel %5s (%4.0f)   optimized %5s\n"
+        r.Core.Experiments.tr_proto (kbs r.Core.Experiments.tr_user) pu
+        (kbs r.Core.Experiments.tr_kernel) pk (kbs r.Core.Experiments.tr_opt))
+    rows paper;
+  let failed =
+    count_none
+      (List.concat_map (fun r -> Core.Experiments.[ r.tr_user; r.tr_kernel; r.tr_opt ]) rows)
+  in
+  if failed > 0 then
+    Printf.printf "WARNING: %d throughput runs failed: a sender gave up on a broadcast\n"
+      failed;
+  (None, failed)
 
 let paper_time app impl procs =
   match List.assoc_opt app paper_table3 with

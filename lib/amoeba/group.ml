@@ -1,5 +1,6 @@
 module Thread = Machine.Thread
 module Mach = Machine.Mach
+module Id_tbl = Flip.Address.Id_tbl
 
 type config = {
   header_bytes : int;
@@ -71,9 +72,9 @@ type sequencer = {
   sq_delivered : (int, int) Hashtbl.t; (* highest contiguous seq reported *)
   mutable sq_next_index : int;
   mutable next_seq : int;
-  history : (int, entry) Hashtbl.t;
+  history : entry Id_tbl.t;
   mutable hist_lo : int;
-  ordered_ids : (int * int, int) Hashtbl.t; (* (sender, local) -> seq, or queued_mark *)
+  ordered_ids : Flip.Ordered_ids.t; (* (sender, local) -> seq, or queued_mark *)
   sq_reasm : Flip.Reassembly.t;
   mutable sq_sys_local : int; (* local-id counter for system announcements *)
   joining : (Flip.Address.t, int) Hashtbl.t; (* joiner addr -> index *)
@@ -118,12 +119,13 @@ type member = {
   m_reasm : Flip.Reassembly.t;
   mutable m_active : bool;
   mutable expected : int;
-  stash : (int, slot) Hashtbl.t;
-  awaiting_data : (int * int, int) Hashtbl.t;
-  holding : (int * int, int * Sim.Payload.t) Hashtbl.t;
+  stash : slot Id_tbl.t;
+  (* Keyed by [Flip.Ordered_ids.key] of (sender, local). *)
+  awaiting_data : int Id_tbl.t;
+  holding : (int * Sim.Payload.t) Id_tbl.t;
   deliver_q : (int * int * Sim.Payload.t) Queue.t;
   recv_waiters : (unit -> unit) Queue.t;
-  sends : (int, send_wait) Hashtbl.t;
+  sends : send_wait Id_tbl.t;
   mutable next_local : int;
   mutable gap_timer : Sim.Engine.handle option;
   mutable n_delivered : int;
@@ -143,7 +145,7 @@ let messages_ordered t = t.n_ordered
 let retransmissions t = t.n_retrans
 
 let history_length t =
-  match t.seqst with Some s -> Hashtbl.length s.history | None -> 0
+  match t.seqst with Some s -> Id_tbl.length s.history | None -> 0
 
 let pending_deliveries m = Queue.length m.deliver_q
 let delivered_seq m = m.expected - 1
@@ -156,6 +158,8 @@ let m_mach m = Flip.Flip_iface.machine m.m_flip
 let m_eng m = Mach.engine (m_mach m)
 
 let data_size t size = t.cfg.header_bytes + size
+
+let pair sender local = Flip.Ordered_ids.key ~sender ~local
 
 (* Data-bearing messages (Pb_req/Bb_data/Ordered) carry the group header
    inside [data_size]; accepts and control traffic stay unattributed. *)
@@ -193,7 +197,8 @@ let evict_unresponsive t s =
       Hashtbl.remove s.sq_delivered ix;
       Hashtbl.remove s.last_status_rsp ix;
       s.sq_sys_local <- s.sq_sys_local + 1;
-      Hashtbl.replace s.ordered_ids (system_sender, s.sq_sys_local) queued_mark;
+      Flip.Ordered_ids.replace s.ordered_ids ~sender:system_sender ~local:s.sq_sys_local
+        queued_mark;
       let local = s.sq_sys_local in
       Mach.interrupt (seq_mach s) ~layer:Obs.Layer.Amoeba_grp ~name:"grp.evict"
         ~cost:t.cfg.seq_process (fun () ->
@@ -202,8 +207,8 @@ let evict_unresponsive t s =
               e_size = t.cfg.accept_bytes; e_user = Member_left ix }
           in
           s.next_seq <- s.next_seq + 1;
-          Hashtbl.replace s.history e.e_seq e;
-          Hashtbl.replace s.ordered_ids (system_sender, local) e.e_seq;
+          Id_tbl.replace s.history e.e_seq e;
+          Flip.Ordered_ids.replace s.ordered_ids ~sender:system_sender ~local e.e_seq;
           Hashtbl.replace s.left_seq ix e.e_seq;
           t.n_ordered <- t.n_ordered + 1;
           seq_multicast ~hdr:(grp_hdr t) t s ~size:(data_size t e.e_size)
@@ -232,7 +237,7 @@ let rec start_status_round t s =
              (fun () -> start_status_round t s)))
 
 let maybe_status_exchange t s =
-  if Hashtbl.length s.history > t.cfg.history_high && not s.status_outstanding then begin
+  if Id_tbl.length s.history > t.cfg.history_high && not s.status_outstanding then begin
     s.status_outstanding <- true;
     start_status_round t s
   end
@@ -262,8 +267,8 @@ let rec arm_idle_check t s =
 let do_order t s ~sender ~local_id ~size ~user =
   let e = { e_seq = s.next_seq; e_sender = sender; e_local = local_id; e_size = size; e_user = user } in
   s.next_seq <- s.next_seq + 1;
-  Hashtbl.replace s.history e.e_seq e;
-  Hashtbl.replace s.ordered_ids (sender, local_id) e.e_seq;
+  Id_tbl.replace s.history e.e_seq e;
+  Flip.Ordered_ids.replace s.ordered_ids ~sender ~local:local_id e.e_seq;
   t.n_ordered <- t.n_ordered + 1;
   if size <= t.cfg.bb_threshold then
     (* PB: the sequencer multicasts the full message. *)
@@ -306,8 +311,8 @@ let do_order_entry t s ~sender ~local_id ~size ~user =
       e_size = size; e_user = user }
   in
   s.next_seq <- s.next_seq + 1;
-  Hashtbl.replace s.history e.e_seq e;
-  Hashtbl.replace s.ordered_ids (sender, local_id) e.e_seq;
+  Id_tbl.replace s.history e.e_seq e;
+  Flip.Ordered_ids.replace s.ordered_ids ~sender ~local:local_id e.e_seq;
   t.n_ordered <- t.n_ordered + 1;
   e
 
@@ -337,7 +342,7 @@ let rec do_order_batch t s =
   end
 
 let schedule_order t s ~sender ~local_id ~size ~user =
-  Hashtbl.replace s.ordered_ids (sender, local_id) queued_mark;
+  Flip.Ordered_ids.replace s.ordered_ids ~sender ~local:local_id queued_mark;
   if
     t.cfg.seq_batch_max > 1 && sender <> system_sender
     && size <= t.cfg.bb_threshold
@@ -359,7 +364,7 @@ let schedule_order t s ~sender ~local_id ~size ~user =
   else schedule_order_now t s ~sender ~local_id ~size ~user
 
 let resend_ordered t s ~seq ~to_member =
-  match (Hashtbl.find_opt s.history seq, Hashtbl.find_opt s.sq_members to_member) with
+  match (Id_tbl.find_opt s.history seq, Hashtbl.find_opt s.sq_members to_member) with
   | Some e, Some addr ->
     t.n_retrans <- t.n_retrans + 1;
     seq_unicast ~hdr:(grp_hdr t) t s ~dst:addr ~size:(data_size t e.e_size)
@@ -370,10 +375,10 @@ let trim_history t s =
   let min_delivered = Hashtbl.fold (fun _ v acc -> min v acc) s.sq_delivered max_int in
   if min_delivered >= 0 && min_delivered < max_int then begin
     while s.hist_lo <= min_delivered do
-      Hashtbl.remove s.history s.hist_lo;
+      Id_tbl.remove s.history s.hist_lo;
       s.hist_lo <- s.hist_lo + 1
     done;
-    if Hashtbl.length s.history < t.cfg.history_high && all_caught_up s then
+    if Id_tbl.length s.history < t.cfg.history_high && all_caught_up s then
       s.status_outstanding <- false
   end
 
@@ -384,7 +389,7 @@ let max_retrans_burst = 32
    re-multicast it (an answer to the sender alone would leave the other
    members with an invisible hole at the end of the sequence). *)
 let re_announce t s ~seq =
-  match Hashtbl.find_opt s.history seq with
+  match Id_tbl.find_opt s.history seq with
   | None -> () (* trimmed: every member already delivered it *)
   | Some e ->
     t.n_retrans <- t.n_retrans + 1;
@@ -425,12 +430,12 @@ let handle_leave_req t s ~index =
 let seq_handle t s payload =
   match payload with
   | Pb_req { sender; local_id; size; user } -> (
-      match Hashtbl.find_opt s.ordered_ids (sender, local_id) with
+      match Flip.Ordered_ids.find_opt s.ordered_ids ~sender ~local:local_id with
       | Some seq when seq = queued_mark -> () (* already queued *)
       | Some seq -> re_announce t s ~seq
       | None -> schedule_order t s ~sender ~local_id ~size ~user)
   | Bb_data { sender; local_id; size; user } -> (
-      match Hashtbl.find_opt s.ordered_ids (sender, local_id) with
+      match Flip.Ordered_ids.find_opt s.ordered_ids ~sender ~local:local_id with
       | Some seq when seq = queued_mark -> ()
       | Some seq -> re_announce t s ~seq
       | None -> schedule_order t s ~sender ~local_id ~size ~user)
@@ -486,9 +491,9 @@ let membership_event m event =
          Sim.Engine.cancel (m_eng m) h;
          m.gap_timer <- None
        | None -> ());
-      Hashtbl.reset m.stash;
-      Hashtbl.reset m.awaiting_data;
-      Hashtbl.reset m.holding;
+      Id_tbl.reset m.stash;
+      Id_tbl.reset m.awaiting_data;
+      Id_tbl.reset m.holding;
       match m.leave_waiter with
       | Some wake ->
         m.leave_waiter <- None;
@@ -507,9 +512,9 @@ let deliver m e =
     Queue.push (e.e_sender, e.e_size, e.e_user) m.deliver_q;
     wake_receiver m;
     if e.e_sender = m.m_index then
-      match Hashtbl.find_opt m.sends e.e_local with
+      match Id_tbl.find_opt m.sends e.e_local with
       | Some sw ->
-        Hashtbl.remove m.sends e.e_local;
+        Id_tbl.remove m.sends e.e_local;
         sw.sw_done <- true;
         (match sw.sw_timer with Some h -> Sim.Engine.cancel (m_eng m) h | None -> ());
         (match sw.sw_resume with
@@ -530,20 +535,20 @@ let send_retrans_req m =
 
 (* Re-request while a gap persists. *)
 let rec arm_gap_timer m =
-  if m.gap_timer = None && Hashtbl.length m.stash > 0 then
+  if m.gap_timer = None && Id_tbl.length m.stash > 0 then
     m.gap_timer <-
       Some
         (Sim.Engine.after (m_eng m) m.grp.cfg.retrans_timeout (fun () ->
              m.gap_timer <- None;
-             if Hashtbl.length m.stash > 0 then begin
+             if Id_tbl.length m.stash > 0 then begin
                send_retrans_req m;
                arm_gap_timer m
              end))
 
 let rec drain m =
-  match Hashtbl.find_opt m.stash m.expected with
+  match Id_tbl.find_opt m.stash m.expected with
   | Some (Full e) ->
-    Hashtbl.remove m.stash m.expected;
+    Id_tbl.remove m.stash m.expected;
     m.expected <- m.expected + 1;
     deliver m e;
     drain m
@@ -551,13 +556,13 @@ let rec drain m =
 
 let handle_ordered m e =
   if m.m_active && m.expected >= 0 && e.e_seq >= m.expected then begin
-    (match Hashtbl.find_opt m.stash e.e_seq with
+    (match Id_tbl.find_opt m.stash e.e_seq with
      | Some (Full _) -> () (* duplicate *)
-     | Some (Awaiting _) | None -> Hashtbl.replace m.stash e.e_seq (Full e));
-    Hashtbl.remove m.awaiting_data (e.e_sender, e.e_local);
+     | Some (Awaiting _) | None -> Id_tbl.replace m.stash e.e_seq (Full e));
+    Id_tbl.remove m.awaiting_data (pair e.e_sender e.e_local);
     let had_gap = e.e_seq > m.expected in
     drain m;
-    if had_gap && Hashtbl.length m.stash > 0 then begin
+    if had_gap && Id_tbl.length m.stash > 0 then begin
       send_retrans_req m;
       arm_gap_timer m
     end
@@ -565,18 +570,18 @@ let handle_ordered m e =
 
 let handle_accept m ~a_seq ~a_sender ~a_local =
   if m.expected >= 0 && a_seq >= m.expected then
-    match Hashtbl.find_opt m.holding (a_sender, a_local) with
+    match Id_tbl.find_opt m.holding (pair a_sender a_local) with
     | Some (size, user) ->
-      Hashtbl.remove m.holding (a_sender, a_local);
+      Id_tbl.remove m.holding (pair a_sender a_local);
       handle_ordered m
         { e_seq = a_seq; e_sender = a_sender; e_local = a_local; e_size = size; e_user = user }
     | None ->
       (* Accept outran (or lost) the data: remember and fetch it. *)
-      (match Hashtbl.find_opt m.stash a_seq with
+      (match Id_tbl.find_opt m.stash a_seq with
        | Some (Full _) -> ()
        | Some (Awaiting _) | None ->
-         Hashtbl.replace m.stash a_seq (Awaiting { aw_sender = a_sender; aw_local = a_local });
-         Hashtbl.replace m.awaiting_data (a_sender, a_local) a_seq;
+         Id_tbl.replace m.stash a_seq (Awaiting { aw_sender = a_sender; aw_local = a_local });
+         Id_tbl.replace m.awaiting_data (pair a_sender a_local) a_seq;
          send_retrans_req m;
          arm_gap_timer m)
 
@@ -586,14 +591,14 @@ let member_handle m payload =
   | Ordered_batch entries -> List.iter (fun e -> handle_ordered m e) entries
   | Accept { a_seq; a_sender; a_local } -> handle_accept m ~a_seq ~a_sender ~a_local
   | Bb_data { sender; local_id; size; user } -> (
-      match Hashtbl.find_opt m.awaiting_data (sender, local_id) with
+      match Id_tbl.find_opt m.awaiting_data (pair sender local_id) with
       | Some seq ->
-        Hashtbl.remove m.awaiting_data (sender, local_id);
+        Id_tbl.remove m.awaiting_data (pair sender local_id);
         handle_ordered m
           { e_seq = seq; e_sender = sender; e_local = local_id; e_size = size; e_user = user }
       | None ->
-        if not (Hashtbl.mem m.holding (sender, local_id)) then
-          Hashtbl.replace m.holding (sender, local_id) (size, user))
+        if not (Id_tbl.mem m.holding (pair sender local_id)) then
+          Id_tbl.replace m.holding (pair sender local_id) (size, user))
   | Status_req { sr_next } ->
     if m.m_index >= 0 && m.m_active then begin
       (* A silent tail: the sequencer has ordered messages we never saw
@@ -641,7 +646,7 @@ let send m ~size payload =
       sw_tries = 0;
     }
   in
-  Hashtbl.replace m.sends sw.sw_local sw;
+  Id_tbl.replace m.sends sw.sw_local sw;
   let msg_size = data_size t size in
   let msg_id = Flip.Flip_iface.alloc_msg_id m.m_flip in
   let transmit () =
@@ -661,7 +666,7 @@ let send m ~size payload =
              if not sw.sw_done then
                if sw.sw_tries >= t.cfg.max_retries then begin
                  sw.sw_failed <- true;
-                 Hashtbl.remove m.sends sw.sw_local;
+                 Id_tbl.remove m.sends sw.sw_local;
                  match sw.sw_resume with
                  | Some resume ->
                    sw.sw_resume <- None;
@@ -721,12 +726,12 @@ let make_member t flip ~index ~active =
     m_reasm = Flip.Reassembly.create ();
     m_active = active;
     expected = (if active then 0 else -1);
-    stash = Hashtbl.create 32;
-    awaiting_data = Hashtbl.create 8;
-    holding = Hashtbl.create 8;
+    stash = Id_tbl.create 32;
+    awaiting_data = Id_tbl.create 8;
+    holding = Id_tbl.create 8;
     deliver_q = Queue.create ();
     recv_waiters = Queue.create ();
-    sends = Hashtbl.create 4;
+    sends = Id_tbl.create 4;
     next_local = 0;
     gap_timer = None;
     n_delivered = 0;
@@ -776,9 +781,9 @@ let create_static ?(config = default_config) ~name ~sequencer flips =
       sq_delivered = Hashtbl.create 16;
       sq_next_index = n;
       next_seq = 0;
-      history = Hashtbl.create 1024;
+      history = Id_tbl.create 1024;
       hist_lo = 0;
-      ordered_ids = Hashtbl.create 1024;
+      ordered_ids = Flip.Ordered_ids.create ();
       sq_reasm = Flip.Reassembly.create ();
       sq_sys_local = 0;
       joining = Hashtbl.create 4;

@@ -2,7 +2,7 @@ module Thread = Machine.Thread
 module Mach = Machine.Mach
 module Cpu = Machine.Cpu
 
-type Sim.Payload.t += Ping
+type Sim.Payload.t += Ping | Round of int
 
 let warmup_rounds = 2
 let measure_rounds = 10
@@ -65,7 +65,11 @@ let per_round to_unit marks =
 
 (* Ping-pong between the two system-layer daemons: replies are sent from
    within the upcall, so no context switch is in the measured path beyond
-   the daemon dispatch itself (paper §4.1). *)
+   the daemon dispatch itself (paper §4.1).  Neither FLIP nor the system
+   layer retransmits, so a lost ping or pong ends the run before its last
+   round: the latency is then [None].  Messages carry their round number:
+   rank 1 echoes every copy it gets, rank 0 counts each round once, so a
+   duplicated frame cannot fork the ping-pong into two. *)
 let raw_pingpong ?faults ?net ~mcast ~size () =
   let cluster, costs = micro_cell ?faults ?net ~n:2 Cluster.User in
   let eng = cluster.Cluster.eng and flips = cluster.Cluster.flips in
@@ -84,40 +88,43 @@ let raw_pingpong ?faults ?net ~mcast ~size () =
               | None -> ()))
       flips;
   let t_start = ref Sim.Time.zero and t_end = ref Sim.Time.zero and count = ref 0 in
-  let send_from_daemon i =
-    if mcast then Panda.System_layer.mcast_from_daemon sys.(i) ~group:gaddr ~size Ping
+  let send_from_daemon i round =
+    if mcast then
+      Panda.System_layer.mcast_from_daemon sys.(i) ~group:gaddr ~size (Round round)
     else
       Panda.System_layer.send_from_daemon sys.(i)
         ~dst:(Panda.System_layer.address sys.(1 - i))
-        ~size Ping
+        ~size (Round round)
   in
   Array.iteri
     (fun i s ->
       Panda.System_layer.add_handler s (fun ~src ~size:_ payload ->
           match payload with
-          | Ping when Flip.Address.equal src (Panda.System_layer.address s) ->
+          | Round _ when Flip.Address.equal src (Panda.System_layer.address s) ->
             true (* own multicast looped back *)
-          | Ping ->
-            if i = 0 then begin
-              incr count;
-              if !count = warmup_rounds then t_start := Sim.Engine.now eng;
-              if !count = latency_rounds then t_end := Sim.Engine.now eng
-              else send_from_daemon 0
-            end
-            else send_from_daemon 1;
+          | Round r ->
+            if i = 1 then send_from_daemon 1 r
+            else if r = !count + 1 then begin
+              count := r;
+              if r = warmup_rounds then t_start := Sim.Engine.now eng;
+              if r = latency_rounds then t_end := Sim.Engine.now eng
+              else send_from_daemon 0 (r + 1)
+            end;
             true
           | _ -> false))
     sys;
   ignore
     (Thread.spawn cluster.Cluster.machines.(0) "starter" (fun () ->
-         if mcast then Panda.System_layer.mcast sys.(0) ~group:gaddr ~size Ping
+         if mcast then Panda.System_layer.mcast sys.(0) ~group:gaddr ~size (Round 1)
          else
            Panda.System_layer.send sys.(0)
              ~dst:(Panda.System_layer.address sys.(1))
-             ~size Ping));
+             ~size (Round 1)));
   Sim.Engine.run eng;
-  (* Each round is two one-way messages. *)
-  Sim.Time.to_ms (!t_end - !t_start) /. float_of_int (2 * measure_rounds)
+  if !count < latency_rounds then None
+  else
+    (* Each round is two one-way messages. *)
+    Some (Sim.Time.to_ms (!t_end - !t_start) /. float_of_int (2 * measure_rounds))
 
 let unicast_latency ?faults ?net ~size () = raw_pingpong ?faults ?net ~mcast:false ~size ()
 let multicast_latency ?faults ?net ~size () = raw_pingpong ?faults ?net ~mcast:true ~size ()
@@ -237,8 +244,8 @@ let group_latency ?faults ?net ~impl ~size () =
 
 type lat_row = {
   lr_size : int;
-  lr_unicast : float;
-  lr_multicast : float;
+  lr_unicast : float option;
+  lr_multicast : float option;
   lr_rpc_user : float;
   lr_rpc_kernel : float;
   lr_grp_user : float;
@@ -250,26 +257,30 @@ type lat_row = {
 let table1_sizes = [ 0; 1024; 2048; 3072; 4096 ]
 
 let table1 ?pool ?faults ?net ?(sizes = table1_sizes) () =
-  (* One cell per (size, column): 8 independent simulations per row. *)
+  (* One cell per (size, column): 8 independent simulations per row.  Only
+     the raw ping-pongs can come back without a latency. *)
   let cells =
     List.concat_map
       (fun size ->
+        let rpc impl () = Some (rpc_latency ?faults ?net ~impl ~size ()) in
+        let group impl () = Some (group_latency ?faults ?net ~impl ~size ()) in
         [
           (fun () -> unicast_latency ?faults ?net ~size ());
           (fun () -> multicast_latency ?faults ?net ~size ());
-          (fun () -> rpc_latency ?faults ?net ~impl:Cluster.User ~size ());
-          (fun () -> rpc_latency ?faults ?net ~impl:Cluster.Kernel ~size ());
-          (fun () -> group_latency ?faults ?net ~impl:Cluster.User ~size ());
-          (fun () -> group_latency ?faults ?net ~impl:Cluster.Kernel ~size ());
-          (fun () -> rpc_latency ?faults ?net ~impl:Cluster.User_optimized ~size ());
-          (fun () -> group_latency ?faults ?net ~impl:Cluster.User_optimized ~size ());
+          rpc Cluster.User;
+          rpc Cluster.Kernel;
+          group Cluster.User;
+          group Cluster.Kernel;
+          rpc Cluster.User_optimized;
+          group Cluster.User_optimized;
         ])
       sizes
   in
   let rec rows sizes vals =
     match (sizes, vals) with
     | [], [] -> []
-    | size :: sizes, u :: m :: ru :: rk :: gu :: gk :: ro :: go :: vals ->
+    | ( size :: sizes,
+        u :: m :: Some ru :: Some rk :: Some gu :: Some gk :: Some ro :: Some go :: vals ) ->
       {
         lr_size = size;
         lr_unicast = u;
@@ -297,7 +308,8 @@ let rpc_throughput ?faults ?net ~impl () =
   float_of_int ((rounds - warmup_rounds) * size) /. secs /. 1024.
 
 (* Several members stream large messages concurrently, saturating the
-   Ethernet; throughput is the ordered goodput. *)
+   Ethernet; throughput is the ordered goodput, or [None] when a sender
+   gave up on a broadcast (its retries ran out under faults). *)
 let group_throughput ?faults ?net ~impl () =
   let n = 4 in
   let per_member = 12 in
@@ -306,7 +318,14 @@ let group_throughput ?faults ?net ~impl () =
   let eng = cluster.Cluster.eng and machines = cluster.Cluster.machines in
   let total = n * per_member in
   let done_at = ref Sim.Time.zero in
-  let delivered = ref 0 in
+  let delivered = ref 0 and gave_up = ref false in
+  let stream send =
+    try
+      for _ = 1 to per_member do
+        send ()
+      done
+    with Amoeba.Group.Group_failure _ | Panda.Group.Group_failure _ -> gave_up := true
+  in
   let note_delivery () =
     incr delivered;
     if !delivered = total * n then done_at := Sim.Engine.now eng
@@ -330,9 +349,7 @@ let group_throughput ?faults ?net ~impl () =
        (fun i m ->
          ignore
            (Thread.spawn machines.(i) "sender" (fun () ->
-                for _ = 1 to per_member do
-                  Amoeba.Group.send m ~size Ping
-                done)))
+                stream (fun () -> Amoeba.Group.send m ~size Ping))))
        members
    | _ ->
      let sys = system_layers costs cluster.Cluster.flips in
@@ -348,30 +365,28 @@ let group_throughput ?faults ?net ~impl () =
        (fun i m ->
          ignore
            (Thread.spawn machines.(i) "sender" (fun () ->
-                for _ = 1 to per_member do
-                  Panda.Group.send m ~size Ping
-                done)))
+                stream (fun () -> Panda.Group.send m ~size Ping))))
        members);
   Sim.Engine.run eng;
-  let secs = Sim.Time.to_sec !done_at in
-  float_of_int (total * size) /. secs /. 1024.
+  if !gave_up then None
+  else Some (float_of_int (total * size) /. Sim.Time.to_sec !done_at /. 1024.)
 
 type tput_row = {
   tr_proto : string;
-  tr_user : float;
-  tr_kernel : float;
-  tr_opt : float;
+  tr_user : float option;
+  tr_kernel : float option;
+  tr_opt : float option;
 }
 
 let table2 ?pool ?faults ?net () =
   match
     run_cells ?pool
       [
-        (fun () -> rpc_throughput ?faults ?net ~impl:Cluster.User ());
-        (fun () -> rpc_throughput ?faults ?net ~impl:Cluster.Kernel ());
+        (fun () -> Some (rpc_throughput ?faults ?net ~impl:Cluster.User ()));
+        (fun () -> Some (rpc_throughput ?faults ?net ~impl:Cluster.Kernel ()));
         (fun () -> group_throughput ?faults ?net ~impl:Cluster.User ());
         (fun () -> group_throughput ?faults ?net ~impl:Cluster.Kernel ());
-        (fun () -> rpc_throughput ?faults ?net ~impl:Cluster.User_optimized ());
+        (fun () -> Some (rpc_throughput ?faults ?net ~impl:Cluster.User_optimized ()));
         (fun () -> group_throughput ?faults ?net ~impl:Cluster.User_optimized ());
       ]
   with

@@ -18,8 +18,10 @@
 
 type lat_row = {
   lr_size : int;  (** message payload bytes *)
-  lr_unicast : float;  (** ms, user-space system-layer unicast *)
-  lr_multicast : float;  (** ms, user-space system-layer multicast *)
+  lr_unicast : float option;
+      (** ms, user-space system-layer unicast; [None] when a message was
+          lost (this layer does not retransmit) *)
+  lr_multicast : float option;  (** ms, user-space system-layer multicast, as unicast *)
   lr_rpc_user : float;
   lr_rpc_kernel : float;
   lr_grp_user : float;
@@ -41,10 +43,14 @@ val table1 :
     stays deterministic). *)
 
 val unicast_latency :
-  ?faults:Faults.Spec.t -> ?net:Params.net_profile -> size:int -> unit -> float
+  ?faults:Faults.Spec.t -> ?net:Params.net_profile -> size:int -> unit -> float option
+(** Per-message latency, ms, of a ping-pong between two system-layer
+    daemons.  Neither FLIP nor the system layer retransmits, so under
+    loss a lost ping or pong ends the run: [None]. *)
 
 val multicast_latency :
-  ?faults:Faults.Spec.t -> ?net:Params.net_profile -> size:int -> unit -> float
+  ?faults:Faults.Spec.t -> ?net:Params.net_profile -> size:int -> unit -> float option
+(** As {!unicast_latency}, multicasting to a two-member group. *)
 
 val rpc_latency :
   ?faults:Faults.Spec.t ->
@@ -72,9 +78,11 @@ val group_latency :
 
 type tput_row = {
   tr_proto : string;
-  tr_user : float;  (** KB/s *)
-  tr_kernel : float;  (** KB/s *)
-  tr_opt : float;  (** KB/s, optimized user-space stack *)
+  tr_user : float option;
+      (** KB/s; [None] when a group sender gave up on a broadcast, its
+          retries exhausted under faults *)
+  tr_kernel : float option;  (** KB/s, as [tr_user] *)
+  tr_opt : float option;  (** KB/s, optimized user-space stack, as [tr_user] *)
 }
 
 val table2 :

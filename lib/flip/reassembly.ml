@@ -4,29 +4,62 @@ type slot = {
   mutable missing : int;
 }
 
-(* Both tables are keyed by [Address.pair_key src msg_id]. *)
+(* Completed messages, to swallow late duplicate fragments: per source, a
+   set of completed message ids, held as bit chunks of [chunk_ids]
+   consecutive ids (every bit of a 63-bit int) keyed by
+   [Address.pair_key src (id / chunk_ids)].  A chunk exists only once one
+   of its ids has completed, so the window costs at most one table entry
+   per completed message (an isolated id) and one per [chunk_ids] of them
+   on a dense run. *)
+let chunk_ids = 63
+
+(* Completions remembered before the window forgets them all at once; a
+   duplicate arriving after that is re-assembled as a fresh message, which
+   upper layers discard by their own sequence numbers anyway. *)
+let window = 65_536
+
 type t = {
+  (* Partial messages, keyed by [Address.pair_key src msg_id]. *)
   slots : slot Address.Id_tbl.t;
-  (* Recently completed messages, to swallow late duplicate fragments. *)
-  completed : unit Address.Id_tbl.t;
+  chunks : int Address.Id_tbl.t;
+  mutable n_completed : int;  (* completions since the window was last emptied *)
   mutable dups : int;
 }
 
 let create () =
-  { slots = Address.Id_tbl.create 32; completed = Address.Id_tbl.create 32; dups = 0 }
+  {
+    slots = Address.Id_tbl.create 32;
+    chunks = Address.Id_tbl.create 32;
+    n_completed = 0;
+    dups = 0;
+  }
 
-let complete t key (frag : Fragment.t) =
-  (* Bound the duplicate-suppression memory; a duplicate arriving after 64k
-     completed messages would be re-assembled as a fresh single-fragment
-     message, which upper layers discard by their own sequence numbers
-     anyway. *)
-  if Address.Id_tbl.length t.completed > 65_536 then Address.Id_tbl.reset t.completed;
-  Address.Id_tbl.replace t.completed key ();
+let chunk_key src id =
+  if id < 0 || id lsr 32 <> 0 then
+    invalid_arg (Printf.sprintf "Flip.Reassembly: message id %d does not fit" id);
+  Address.pair_key src (id / chunk_ids)
+
+let bit id = 1 lsl (id mod chunk_ids)
+let chunk t key = try Address.Id_tbl.find t.chunks key with Not_found -> 0
+
+(* [bits] is the message's chunk as [add] found it. *)
+let complete t ckey bits (frag : Fragment.t) =
+  let bits =
+    if t.n_completed > window then begin
+      Address.Id_tbl.reset t.chunks;
+      t.n_completed <- 0;
+      0
+    end
+    else bits
+  in
+  Address.Id_tbl.replace t.chunks ckey (bits lor bit frag.Fragment.msg_id);
+  t.n_completed <- t.n_completed + 1;
   Some (frag.Fragment.src, frag.Fragment.total, frag.Fragment.payload)
 
 let add t (frag : Fragment.t) =
-  let key = Address.pair_key frag.Fragment.src frag.Fragment.msg_id in
-  if Address.Id_tbl.mem t.completed key then begin
+  let ckey = chunk_key frag.Fragment.src frag.Fragment.msg_id in
+  let bits = chunk t ckey in
+  if bits land bit frag.Fragment.msg_id <> 0 then begin
     t.dups <- t.dups + 1;
     (* Surface retransmissions of completed messages (once per copy, on
        the first fragment) so protocols can answer them. *)
@@ -35,8 +68,9 @@ let add t (frag : Fragment.t) =
     else None
   end
   (* A one-fragment message is complete on arrival: no slot to keep. *)
-  else if frag.Fragment.count = 1 then complete t key frag
+  else if frag.Fragment.count = 1 then complete t ckey bits frag
   else begin
+    let key = Address.pair_key frag.Fragment.src frag.Fragment.msg_id in
     let slot =
       match Address.Id_tbl.find_opt t.slots key with
       | Some s -> s
@@ -61,7 +95,7 @@ let add t (frag : Fragment.t) =
       slot.missing <- slot.missing - 1;
       if slot.missing = 0 then begin
         Address.Id_tbl.remove t.slots key;
-        complete t key frag
+        complete t ckey bits frag
       end
       else None
     end

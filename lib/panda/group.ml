@@ -1,5 +1,6 @@
 module Thread = Machine.Thread
 module Mach = Machine.Mach
+module Id_tbl = Flip.Address.Id_tbl
 
 type config = {
   header_bytes : int;
@@ -75,9 +76,9 @@ type sequencer = {
   mutable sq_waiter : (unit -> unit) option;
   mutable sq_dead : bool;
   mutable next_seq : int;
-  history : (int, entry) Hashtbl.t;
+  history : entry Id_tbl.t;
   mutable hist_lo : int;
-  ordered_ids : (int * int, int) Hashtbl.t;
+  ordered_ids : Flip.Ordered_ids.t;
   member_delivered : int array;
   mutable status_outstanding : bool;
   mutable idle_timer : Sim.Engine.handle option;
@@ -153,16 +154,17 @@ type cmember = {
   m_sys : System_layer.t;
   m_index : int;
   mutable expected : int;
-  stash : (int, slot) Hashtbl.t;
-  awaiting : (int * int, int) Hashtbl.t;
-  holding : (int * int, int * Sim.Payload.t) Hashtbl.t;
-  sends : (int, send_wait) Hashtbl.t;
+  stash : slot Id_tbl.t;
+  (* Keyed by [Flip.Ordered_ids.key] of (sender, local). *)
+  awaiting : int Id_tbl.t;
+  holding : (int * Sim.Payload.t) Id_tbl.t;
+  sends : send_wait Id_tbl.t;
   mutable next_local : int;
   mutable gap_timer : Sim.Engine.handle option;
   mutable handler : (sender:int -> size:int -> Sim.Payload.t -> unit) option;
   (* Bounded history of delivered entries, kept only when failover is
      enabled: the successor rebuilds the sequencer's history from these. *)
-  m_hist : (int, entry) Hashtbl.t;
+  m_hist : entry Id_tbl.t;
   mutable m_hist_lo : int;
 }
 
@@ -172,6 +174,7 @@ type member = { pm_grp : t; pm_index : int; pm_ms : cmember array }
 let m_eng m = Mach.engine (System_layer.machine m.m_sys)
 let s_eng s = Mach.engine (System_layer.machine s.sq_sys)
 let data_size t size = t.cfg.header_bytes + size
+let pair sender local = Flip.Ordered_ids.key ~sender ~local
 
 (* Only data-bearing messages (Gpb/Gbb/Gord/Gordb) carry the group
    protocol header inside [data_size]; accepts and control traffic are
@@ -221,7 +224,7 @@ let all_caught_up s =
   Array.fold_left min max_int s.member_delivered >= s.next_seq - 1
 
 let maybe_status t s =
-  if Hashtbl.length s.history > t.cfg.history_high && not s.status_outstanding then begin
+  if Id_tbl.length s.history > t.cfg.history_high && not s.status_outstanding then begin
     s.status_outstanding <- true;
     System_layer.mcast s.sq_sys ~group:t.gaddr ~size:t.cfg.accept_bytes
       (wrap t (Gstat_req { gsr_next = s.next_seq }))
@@ -254,14 +257,14 @@ let trim_history t s =
   let min_delivered = Array.fold_left min max_int s.member_delivered in
   if min_delivered >= 0 then begin
     while s.hist_lo <= min_delivered do
-      Hashtbl.remove s.history s.hist_lo;
+      Id_tbl.remove s.history s.hist_lo;
       s.hist_lo <- s.hist_lo + 1
     done;
-    if Hashtbl.length s.history < t.cfg.history_high then s.status_outstanding <- false
+    if Id_tbl.length s.history < t.cfg.history_high then s.status_outstanding <- false
   end
 
 let seq_resend t s ~seq ~to_member =
-  match Hashtbl.find_opt s.history seq with
+  match Id_tbl.find_opt s.history seq with
   | None -> ()
   | Some e ->
     t.n_retrans <- t.n_retrans + 1;
@@ -347,8 +350,8 @@ let order_fresh t s ~(o : order_req) =
       e_size = o.o_size; e_user = o.o_user }
   in
   s.next_seq <- s.next_seq + 1;
-  Hashtbl.replace s.history e.e_seq e;
-  Hashtbl.replace s.ordered_ids (o.o_sender, o.o_local) e.e_seq;
+  Id_tbl.replace s.history e.e_seq e;
+  Flip.Ordered_ids.replace s.ordered_ids ~sender:o.o_sender ~local:o.o_local e.e_seq;
   t.n_ordered <- t.n_ordered + 1;
   e
 
@@ -365,9 +368,9 @@ let seq_handle_item t s item =
       Thread.compute_parts ~layer:Obs.Layer.Panda_grp
         [ (Obs.Cause.Proto_proc, t.cfg.order_fixed);
           (Obs.Cause.Copy, copied * t.cfg.copy_byte) ];
-      match Hashtbl.find_opt s.ordered_ids (o.o_sender, o.o_local) with
+      match Flip.Ordered_ids.find_opt s.ordered_ids ~sender:o.o_sender ~local:o.o_local with
       | Some seq -> (
-          match Hashtbl.find_opt s.history seq with
+          match Id_tbl.find_opt s.history seq with
           | None -> ()
           | Some e -> re_announce t s e)
       | None ->
@@ -426,9 +429,10 @@ let seq_handle_item t s item =
               max s.member_delivered.(h_member) h_delivered;
             List.iter
               (fun e ->
-                if not (Hashtbl.mem s.history e.e_seq) then begin
-                  Hashtbl.replace s.history e.e_seq e;
-                  Hashtbl.replace s.ordered_ids (e.e_sender, e.e_local) e.e_seq
+                if not (Id_tbl.mem s.history e.e_seq) then begin
+                  Id_tbl.replace s.history e.e_seq e;
+                  Flip.Ordered_ids.replace s.ordered_ids ~sender:e.e_sender
+                    ~local:e.e_local e.e_seq
                 end)
               h_entries
           end;
@@ -441,7 +445,7 @@ let seq_handle_item t s item =
             let maxd = Array.fold_left max (-1) s.member_delivered in
             if maxd + 1 > s.next_seq then s.next_seq <- maxd + 1;
             s.hist_lo <-
-              Hashtbl.fold (fun k _ lo -> min k lo) s.history s.next_seq;
+              Id_tbl.fold (fun k _ lo -> min k lo) s.history s.next_seq;
             fo.fo_epoch <- 1;
             (match fo.fo_timer with
              | Some h ->
@@ -465,9 +469,9 @@ let seq_handle_batch t s (reqs : order_req list) =
       Thread.compute_parts ~layer:Obs.Layer.Panda_grp
         [ (Obs.Cause.Proto_proc, t.cfg.order_fixed);
           (Obs.Cause.Copy, o.o_size * t.cfg.copy_byte) ];
-      match Hashtbl.find_opt s.ordered_ids (o.o_sender, o.o_local) with
+      match Flip.Ordered_ids.find_opt s.ordered_ids ~sender:o.o_sender ~local:o.o_local with
       | Some seq -> (
-          match Hashtbl.find_opt s.history seq with
+          match Id_tbl.find_opt s.history seq with
           | None -> ()
           | Some e -> re_announce t s e)
       | None -> fresh := order_fresh t s ~o :: !fresh)
@@ -604,12 +608,12 @@ let rot_reclaim t =
   | _ -> ()
 
 let rec arm_gap_timer m =
-  if m.gap_timer = None && Hashtbl.length m.stash > 0 then
+  if m.gap_timer = None && Id_tbl.length m.stash > 0 then
     m.gap_timer <-
       Some
         (Sim.Engine.after (m_eng m) m.grp.cfg.retrans_timeout (fun () ->
              m.gap_timer <- None;
-             if Hashtbl.length m.stash > 0 then begin
+             if Id_tbl.length m.stash > 0 then begin
                if m.grp.c_crashed then begin
                  maybe_report_dead m;
                  rot_reclaim m.grp
@@ -622,10 +626,10 @@ let record_hist m e =
   match m.grp.c_fo with
   | None -> ()
   | Some _ ->
-    Hashtbl.replace m.m_hist e.e_seq e;
+    Id_tbl.replace m.m_hist e.e_seq e;
     let lo_min = e.e_seq - m.grp.cfg.history_high in
     while m.m_hist_lo <= lo_min do
-      Hashtbl.remove m.m_hist m.m_hist_lo;
+      Id_tbl.remove m.m_hist m.m_hist_lo;
       m.m_hist_lo <- m.m_hist_lo + 1
     done
 
@@ -634,7 +638,7 @@ let record_hist m e =
 let trim_hist_below m lo =
   if m.grp.c_fo <> None then
     while m.m_hist_lo < lo do
-      Hashtbl.remove m.m_hist m.m_hist_lo;
+      Id_tbl.remove m.m_hist m.m_hist_lo;
       m.m_hist_lo <- m.m_hist_lo + 1
     done
 
@@ -648,9 +652,9 @@ let deliver m e =
    | Some f -> f ~sender:e.e_sender ~size:e.e_size e.e_user
    | None -> ());
   if e.e_sender = m.m_index then
-    match Hashtbl.find_opt m.sends e.e_local with
+    match Id_tbl.find_opt m.sends e.e_local with
     | Some sw ->
-      Hashtbl.remove m.sends e.e_local;
+      Id_tbl.remove m.sends e.e_local;
       sw.sw_done <- true;
       (match sw.sw_timer with Some h -> Sim.Engine.cancel (m_eng m) h | None -> ());
       (match sw.sw_resume with
@@ -661,9 +665,9 @@ let deliver m e =
     | None -> ()
 
 let rec drain m =
-  match Hashtbl.find_opt m.stash m.expected with
+  match Id_tbl.find_opt m.stash m.expected with
   | Some (Full e) ->
-    Hashtbl.remove m.stash m.expected;
+    Id_tbl.remove m.stash m.expected;
     m.expected <- m.expected + 1;
     deliver m e;
     drain m
@@ -671,13 +675,13 @@ let rec drain m =
 
 let handle_ordered m e =
   if e.e_seq >= m.expected then begin
-    (match Hashtbl.find_opt m.stash e.e_seq with
+    (match Id_tbl.find_opt m.stash e.e_seq with
      | Some (Full _) -> ()
-     | Some (Awaiting _) | None -> Hashtbl.replace m.stash e.e_seq (Full e));
-    Hashtbl.remove m.awaiting (e.e_sender, e.e_local);
+     | Some (Awaiting _) | None -> Id_tbl.replace m.stash e.e_seq (Full e));
+    Id_tbl.remove m.awaiting (pair e.e_sender e.e_local);
     let had_gap = e.e_seq > m.expected in
     drain m;
-    if had_gap && Hashtbl.length m.stash > 0 then begin
+    if had_gap && Id_tbl.length m.stash > 0 then begin
       send_retrans_req_from_daemon m;
       arm_gap_timer m
     end
@@ -685,17 +689,17 @@ let handle_ordered m e =
 
 let handle_accept m ~g_seq ~g_sender ~g_local =
   if g_seq >= m.expected then
-    match Hashtbl.find_opt m.holding (g_sender, g_local) with
+    match Id_tbl.find_opt m.holding (pair g_sender g_local) with
     | Some (size, user) ->
-      Hashtbl.remove m.holding (g_sender, g_local);
+      Id_tbl.remove m.holding (pair g_sender g_local);
       handle_ordered m
         { e_seq = g_seq; e_sender = g_sender; e_local = g_local; e_size = size; e_user = user }
     | None -> (
-        match Hashtbl.find_opt m.stash g_seq with
+        match Id_tbl.find_opt m.stash g_seq with
         | Some (Full _) -> ()
         | Some (Awaiting _) | None ->
-          Hashtbl.replace m.stash g_seq (Awaiting (g_sender, g_local));
-          Hashtbl.replace m.awaiting (g_sender, g_local) g_seq;
+          Id_tbl.replace m.stash g_seq (Awaiting (g_sender, g_local));
+          Id_tbl.replace m.awaiting (pair g_sender g_local) g_seq;
           send_retrans_req_from_daemon m;
           arm_gap_timer m)
 
@@ -751,7 +755,7 @@ let accept_token m ~tk_holder ~tk_gen =
 let hist_entries m =
   let entries = ref [] in
   for seq = m.expected - 1 downto m.m_hist_lo do
-    match Hashtbl.find_opt m.m_hist seq with
+    match Id_tbl.find_opt m.m_hist seq with
     | Some e -> entries := e :: !entries
     | None -> ()
   done;
@@ -775,14 +779,14 @@ let on_member_msg m payload =
         handle_accept m ~g_seq ~g_sender ~g_local;
         true
       | Gbb { sender; local; size; user } ->
-        (match Hashtbl.find_opt m.awaiting (sender, local) with
+        (match Id_tbl.find_opt m.awaiting (pair sender local) with
          | Some seq ->
-           Hashtbl.remove m.awaiting (sender, local);
+           Id_tbl.remove m.awaiting (pair sender local);
            handle_ordered m
              { e_seq = seq; e_sender = sender; e_local = local; e_size = size; e_user = user }
          | None ->
-           if not (Hashtbl.mem m.holding (sender, local)) then
-             Hashtbl.replace m.holding (sender, local) (size, user));
+           if not (Id_tbl.mem m.holding (pair sender local)) then
+             Id_tbl.replace m.holding (pair sender local) (size, user));
         true
       | Gstat_req { gsr_next } ->
         if m.expected < gsr_next then send_retrans_req_from_daemon m;
@@ -839,7 +843,7 @@ let send_impl ~blocking m ~size payload =
       sw_tries = 0;
     }
   in
-  Hashtbl.replace m.sends sw.sw_local sw;
+  Id_tbl.replace m.sends sw.sw_local sw;
   let msg_size = data_size t size in
   let tag = System_layer.alloc_tag m.m_sys in
   (* Ordering requests go to the current sequencer: the primary's point
@@ -875,7 +879,7 @@ let send_impl ~blocking m ~size payload =
              if not sw.sw_done then
                if sw.sw_tries >= t.cfg.max_retries then begin
                  sw.sw_failed <- true;
-                 Hashtbl.remove m.sends sw.sw_local;
+                 Id_tbl.remove m.sends sw.sw_local;
                  match sw.sw_resume with
                  | Some resume ->
                    sw.sw_resume <- None;
@@ -895,7 +899,7 @@ let send_impl ~blocking m ~size payload =
   in
   (* The sender already has its own BB data: store it for the accept
      directly instead of processing the looped-back multicast. *)
-  if bb then Hashtbl.replace m.holding (m.m_index, sw.sw_local) (size, payload);
+  if bb then Id_tbl.replace m.holding (pair m.m_index sw.sw_local) (size, payload);
   (* Arm before transmitting: the send path's system calls suspend the
      caller, and on a sequencer-local send the whole ordering round trip
      can complete during those suspensions. *)
@@ -930,9 +934,9 @@ let mk_sequencer sys n =
     sq_waiter = None;
     sq_dead = false;
     next_seq = 0;
-    history = Hashtbl.create 1024;
+    history = Id_tbl.create 1024;
     hist_lo = 0;
-    ordered_ids = Hashtbl.create 1024;
+    ordered_ids = Flip.Ordered_ids.create ();
     member_delivered = Array.make n (-1);
     status_outstanding = false;
     idle_timer = None;
@@ -992,14 +996,14 @@ let create_core ~config ~name ~tag ~batch ~rot_period ~failover ~sequencer
           m_sys = sys;
           m_index = i;
           expected = 0;
-          stash = Hashtbl.create 32;
-          awaiting = Hashtbl.create 8;
-          holding = Hashtbl.create 8;
-          sends = Hashtbl.create 4;
+          stash = Id_tbl.create 32;
+          awaiting = Id_tbl.create 8;
+          holding = Id_tbl.create 8;
+          sends = Id_tbl.create 4;
           next_local = 0;
           gap_timer = None;
           handler = None;
-          m_hist = Hashtbl.create 64;
+          m_hist = Id_tbl.create 64;
           m_hist_lo = 0;
         })
       sys_layers
@@ -1197,7 +1201,7 @@ let history_length t =
   sum
     (fun c ->
       match active_seq c with
-      | Some s -> Hashtbl.length s.history
+      | Some s -> Id_tbl.length s.history
       | None -> 0)
     t
 

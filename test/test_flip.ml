@@ -183,6 +183,289 @@ let prop_reassembly_identity =
       !completions = [ size ])
 
 (* ------------------------------------------------------------------ *)
+(* The completed window against a model of the table it replaced *)
+
+(* The reference: every completed (source, message id) in one table,
+   emptied when a completion finds more than 65 536 already in it. *)
+module Ref_reassembly = struct
+  type t = {
+    slots : (Address.t * int, bool array * int ref) Hashtbl.t;
+    completed : (Address.t * int, unit) Hashtbl.t;
+    mutable dups : int;
+    mutable resets : int;
+  }
+
+  let create () =
+    { slots = Hashtbl.create 32; completed = Hashtbl.create 32; dups = 0; resets = 0 }
+  let surfaced (f : Fragment.t) = Some (f.Fragment.src, f.Fragment.total, f.Fragment.payload)
+
+  let complete t key f =
+    if Hashtbl.length t.completed > 65_536 then begin
+      Hashtbl.reset t.completed;
+      t.resets <- t.resets + 1
+    end;
+    Hashtbl.replace t.completed key ();
+    surfaced f
+
+  let add t (f : Fragment.t) =
+    let key = (f.Fragment.src, f.Fragment.msg_id) in
+    if Hashtbl.mem t.completed key then begin
+      t.dups <- t.dups + 1;
+      if f.Fragment.index = 0 then surfaced f else None
+    end
+    else if f.Fragment.count = 1 then complete t key f
+    else begin
+      let got, missing =
+        match Hashtbl.find_opt t.slots key with
+        | Some s -> s
+        | None ->
+          let s = (Array.make f.Fragment.count false, ref f.Fragment.count) in
+          Hashtbl.add t.slots key s;
+          s
+      in
+      if got.(f.Fragment.index) then begin
+        t.dups <- t.dups + 1;
+        None
+      end
+      else begin
+        got.(f.Fragment.index) <- true;
+        decr missing;
+        if !missing = 0 then begin
+          Hashtbl.remove t.slots key;
+          complete t key f
+        end
+        else None
+      end
+    end
+
+  let pending t = Hashtbl.length t.slots
+end
+
+let window_sources =
+  [| Address.point 1; Address.point 2; Address.group 2; Address.point ((1 lsl 29) - 1) |]
+
+let message ~src ~id ~count =
+  List.init count (fun index ->
+      { Fragment.src; dst = Address.point 7; msg_id = id; index; count; bytes = 100;
+        total = 100 * count; payload = Probe id })
+
+let single ~src id = List.hd (message ~src ~id ~count:1)
+
+(* [n] messages from [sources] senders: runs of consecutive ids, short
+   strides and jumps past a whole chunk; one to three fragments each.
+   Each fragment is lost, delivered or duplicated, neighbours swap places,
+   and now and then every fragment of an earlier message arrives again
+   (a retransmission). *)
+let fragment_stream ~seed ~sources ~n =
+  let rng = Rng.create ~seed in
+  let next = Array.init sources (fun _ -> Rng.int rng 200) in
+  let sent = Array.make n [] in
+  let out = ref [] in
+  let deliver m =
+    List.iter
+      (fun f ->
+        match Rng.int rng 100 with
+        | p when p < 10 -> ()
+        | p when p < 25 -> out := f :: f :: !out
+        | _ -> out := f :: !out)
+      m
+  in
+  for i = 0 to n - 1 do
+    let s = Rng.int rng sources in
+    let stride =
+      match Rng.int rng 100 with
+      | p when p < 60 -> 1
+      | p when p < 85 -> 2 + Rng.int rng 9
+      | _ -> 60 + Rng.int rng 140
+    in
+    next.(s) <- next.(s) + stride;
+    let count = match Rng.int rng 10 with 0 -> 3 | 1 | 2 -> 2 | _ -> 1 in
+    sent.(i) <- message ~src:window_sources.(s) ~id:next.(s) ~count;
+    deliver sent.(i);
+    if Rng.int rng 100 < 5 then deliver sent.(Rng.int rng (i + 1))
+  done;
+  let arr = Array.of_list (List.rev !out) in
+  for i = 0 to Array.length arr - 2 do
+    if Rng.int rng 4 = 0 then begin
+      let j = i + 1 + Rng.int rng (min 8 (Array.length arr - i - 1)) in
+      let tmp = arr.(i) in
+      arr.(i) <- arr.(j);
+      arr.(j) <- tmp
+    end
+  done;
+  arr
+
+(* Step by step, the window answers every fragment as the reference table
+   does: the same completion or surfaced copy, the same duplicate count,
+   the same partial messages.  Also returns how often the reference
+   emptied its table. *)
+let same_as_reference frags =
+  let r = Reassembly.create () and m = Ref_reassembly.create () in
+  let same =
+    Array.for_all
+      (fun f ->
+        Reassembly.add r f = Ref_reassembly.add m f
+        && Reassembly.duplicates r = m.Ref_reassembly.dups
+        && Reassembly.pending r = Ref_reassembly.pending m)
+      frags
+  in
+  (same, m.Ref_reassembly.resets)
+
+let prop_window_matches_reference =
+  QCheck.Test.make ~name:"matches the reference table" ~count:200
+    QCheck.(pair (int_bound 1_000_000) (int_range 1 4))
+    (fun (seed, sources) -> fst (same_as_reference (fragment_stream ~seed ~sources ~n:400)))
+
+(* Enough messages to complete over twice the 65 536 the window
+   remembers, so it is emptied twice, and copies of messages completed
+   before each reset arrive after it: they must be re-assembled as fresh
+   messages, as the reference does, not counted as duplicates. *)
+let test_window_crosses_reset () =
+  let same, resets = same_as_reference (fragment_stream ~seed:26 ~sources:4 ~n:180_000) in
+  check_int "resets of the reference" 2 resets;
+  check_bool "the window matches it across both" true same
+
+(* The exact edge: 65 537 completions are all remembered, and the next
+   completion empties the window before it is recorded. *)
+let test_window_edge () =
+  let r = Reassembly.create () in
+  let one = single ~src:(Address.point 1) in
+  for id = 1 to 65_537 do
+    ignore (Reassembly.add r (one id))
+  done;
+  ignore (Reassembly.add r (one 1));
+  check_int "65 537 completions remembered" 1 (Reassembly.duplicates r);
+  ignore (Reassembly.add r (one 65_538));
+  ignore (Reassembly.add r (one 2));
+  check_int "forgotten at the next completion" 1 (Reassembly.duplicates r);
+  ignore (Reassembly.add r (one 65_538));
+  check_int "which is remembered" 2 (Reassembly.duplicates r)
+
+let words x = Obj.reachable_words (Obj.repr x)
+
+(* 65 536 one-fragment completions from 8 sources, each numbering its
+   messages 1, 2, 3, ...: one table entry per chunk of ids, not per
+   message.  A table entry per completed message costs ~4.5 words each. *)
+let test_window_memory_dense () =
+  let r = Reassembly.create () in
+  for id = 1 to 8192 do
+    for s = 0 to 7 do
+      ignore (Reassembly.add r (single ~src:(Address.point s) id))
+    done
+  done;
+  let w = words r in
+  check_bool (Printf.sprintf "%d words for 65 536 completions" w) true (w <= 65_536 / 8)
+
+(* The worst case: every completed id isolated in its own chunk.  It costs
+   no more per completion than a table of completed messages. *)
+let test_window_memory_isolated () =
+  let r = Reassembly.create () and table = Address.Id_tbl.create 32 in
+  let empty_r = words r and empty_table = words table in
+  for k = 1 to 8192 do
+    for s = 0 to 7 do
+      let id = k * 2 * 63 in
+      ignore (Reassembly.add r (single ~src:(Address.point s) id));
+      Address.Id_tbl.replace table (Address.pair_key (Address.point s) id) ()
+    done
+  done;
+  let grown = words r - empty_r and table_grown = words table - empty_table in
+  check_bool
+    (Printf.sprintf "window %d words <= table %d words" grown table_grown)
+    true (grown <= table_grown)
+
+let test_window_rejects_bad_ids () =
+  let raises id =
+    match Reassembly.add (Reassembly.create ()) (single ~src:(Address.point 1) id) with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  check_bool "negative id" true (raises (-1));
+  check_bool "id past 32 bits" true (raises (1 lsl 32));
+  check_bool "largest id" false (raises ((1 lsl 32) - 1))
+
+(* ------------------------------------------------------------------ *)
+(* The sequencer's (sender, local) map against a Hashtbl *)
+
+(* Random replaces and lookups over the system sender and six members,
+   local ids mostly dense with occasional jumps; every lookup, and at the
+   end every key in range, answers as a Hashtbl does. *)
+let prop_ordered_ids_match_hashtbl =
+  QCheck.Test.make ~name:"matches a Hashtbl" ~count:200
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Rng.create ~seed in
+      let map = Ordered_ids.create () and ref_tbl = Hashtbl.create 64 in
+      let next = Array.make 7 0 in
+      let agree sender local =
+        Ordered_ids.find_opt map ~sender ~local = Hashtbl.find_opt ref_tbl (sender, local)
+      in
+      let ok = ref true in
+      for _ = 1 to 2_000 do
+        let sender = Rng.int rng 7 - 1 in
+        let local =
+          match Rng.int rng 10 with
+          | 0 -> Rng.int rng 400
+          | 1 -> next.(sender + 1) + Rng.int rng 50
+          | _ -> next.(sender + 1) + 1
+        in
+        next.(sender + 1) <- max next.(sender + 1) local;
+        if Rng.bool rng then begin
+          let v = Rng.int rng 1_000_000 - 1 in
+          Ordered_ids.replace map ~sender ~local v;
+          Hashtbl.replace ref_tbl (sender, local) v
+        end;
+        if not (agree sender local) then ok := false
+      done;
+      for sender = -1 to 6 do
+        for local = 0 to 500 do
+          if not (agree sender local) then ok := false
+        done
+      done;
+      !ok && Ordered_ids.find_opt map ~sender:(-2) ~local:1 = None
+      && Ordered_ids.find_opt map ~sender:0 ~local:(-1) = None)
+
+let test_ordered_ids_keys () =
+  let max_sender = (1 lsl 29) - 2 and max_local = (1 lsl 32) - 1 in
+  let pairs =
+    List.concat_map
+      (fun sender -> List.map (fun local -> (sender, local)) [ 0; 1; max_local ])
+      [ -1; 0; 1; max_sender ]
+  in
+  let keys = List.map (fun (sender, local) -> Ordered_ids.key ~sender ~local) pairs in
+  check_int "distinct keys" (List.length pairs) (List.length (List.sort_uniq compare keys));
+  let raises f = match f () with _ -> false | exception Invalid_argument _ -> true in
+  check_bool "sender below -1" true (raises (fun () -> Ordered_ids.key ~sender:(-2) ~local:0));
+  check_bool "sender past 29 bits" true
+    (raises (fun () -> Ordered_ids.key ~sender:(max_sender + 1) ~local:0));
+  check_bool "negative local" true (raises (fun () -> Ordered_ids.key ~sender:0 ~local:(-1)));
+  check_bool "local past 32 bits" true
+    (raises (fun () -> Ordered_ids.key ~sender:0 ~local:(max_local + 1)));
+  let map = Ordered_ids.create () in
+  check_bool "replace: sender below -1" true
+    (raises (fun () -> Ordered_ids.replace map ~sender:(-2) ~local:1 0));
+  check_bool "replace: negative local" true
+    (raises (fun () -> Ordered_ids.replace map ~sender:0 ~local:(-1) 0));
+  check_bool "replace: min_int" true
+    (raises (fun () -> Ordered_ids.replace map ~sender:0 ~local:1 min_int))
+
+(* 9 999 ordered broadcasts, 1 111 from each of eight members and the
+   system sender: about a word each, against ~9 for a Hashtbl with a boxed
+   (sender, local) key per broadcast. *)
+let test_ordered_ids_memory () =
+  let map = Ordered_ids.create () and tbl = Hashtbl.create 1024 in
+  let seq = ref 0 in
+  for local = 1 to 1_111 do
+    for sender = -1 to 7 do
+      Ordered_ids.replace map ~sender ~local !seq;
+      Hashtbl.replace tbl (sender, local) !seq;
+      incr seq
+    done
+  done;
+  let w = words map and tw = words tbl in
+  check_bool (Printf.sprintf "%d words for %d broadcasts" w !seq) true (w <= 2 * !seq);
+  check_bool (Printf.sprintf "%d words against a Hashtbl's %d" w tw) true (4 * w <= tw)
+
+(* ------------------------------------------------------------------ *)
 (* Flip_iface end-to-end *)
 
 let test_unicast_with_locate () =
@@ -307,6 +590,21 @@ let () =
           Alcotest.test_case "purge" `Quick test_reassembly_purge;
         ]
         @ qsuite [ prop_reassembly_identity ] );
+      ( "window",
+        [
+          Alcotest.test_case "crosses the reset" `Quick test_window_crosses_reset;
+          Alcotest.test_case "forgets at the edge" `Quick test_window_edge;
+          Alcotest.test_case "memory, dense ids" `Quick test_window_memory_dense;
+          Alcotest.test_case "memory, isolated ids" `Quick test_window_memory_isolated;
+          Alcotest.test_case "bad ids" `Quick test_window_rejects_bad_ids;
+        ]
+        @ qsuite [ prop_window_matches_reference ] );
+      ( "ordered ids",
+        [
+          Alcotest.test_case "keys" `Quick test_ordered_ids_keys;
+          Alcotest.test_case "memory" `Quick test_ordered_ids_memory;
+        ]
+        @ qsuite [ prop_ordered_ids_match_hashtbl ] );
       ( "iface",
         [
           Alcotest.test_case "unicast + locate" `Quick test_unicast_with_locate;

@@ -13,6 +13,7 @@
 
 let check_bool = Alcotest.(check bool)
 let exact = Alcotest.(check (float 0.))
+let exact_some tag v = Alcotest.(check (option (float 0.))) tag (Some v)
 
 (* size, unicast, multicast, rpc_user, rpc_kernel, grp_user, grp_kernel,
    rpc_opt, grp_opt — all ms. *)
@@ -59,8 +60,8 @@ let check_table1 ?(era = "") ?(golden = golden_table1) rows =
     (fun (size, u, m, ru, rk, gu, gk, ro, go) r ->
       let tag col = Printf.sprintf "T1%s %d %s" era size col in
       Alcotest.(check int) (tag "size") size r.Core.Experiments.lr_size;
-      exact (tag "unicast") u r.Core.Experiments.lr_unicast;
-      exact (tag "multicast") m r.Core.Experiments.lr_multicast;
+      exact_some (tag "unicast") u r.Core.Experiments.lr_unicast;
+      exact_some (tag "multicast") m r.Core.Experiments.lr_multicast;
       exact (tag "rpc user") ru r.Core.Experiments.lr_rpc_user;
       exact (tag "rpc kernel") rk r.Core.Experiments.lr_rpc_kernel;
       exact (tag "grp user") gu r.Core.Experiments.lr_grp_user;
@@ -74,9 +75,9 @@ let check_table2 ?(era = "") ?(golden = golden_table2) rows =
     (fun (proto, u, k, o) r ->
       let tag col = Printf.sprintf "T2%s %s %s" era proto col in
       Alcotest.(check string) (tag "proto") proto r.Core.Experiments.tr_proto;
-      exact (tag "user") u r.Core.Experiments.tr_user;
-      exact (tag "kernel") k r.Core.Experiments.tr_kernel;
-      exact (tag "optimized") o r.Core.Experiments.tr_opt)
+      exact_some (tag "user") u r.Core.Experiments.tr_user;
+      exact_some (tag "kernel") k r.Core.Experiments.tr_kernel;
+      exact_some (tag "optimized") o r.Core.Experiments.tr_opt)
     golden rows
 
 let test_table1_golden () = check_table1 (Lazy.force table1)
