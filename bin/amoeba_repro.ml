@@ -120,8 +120,8 @@ let policy_arg =
     & info [ "sequencer" ] ~docv:"MODE"
         ~doc:
           "Sequencer capacity policy for the group protocol: $(b,single) \
-           (the paper's, default), $(b,batch)[:N], $(b,rotate)[:N], \
-           $(b,shard)[:N] or $(b,failover).  The kernel stack accepts \
+           (the paper's, default), $(b,batch)[:N], $(b,shard)[:N] or \
+           $(b,failover).  The kernel stack accepts \
            single and batch only, and a $(b,seqcrash) fault needs a user \
            stack with a policy other than single; other combinations exit 2.")
 
@@ -520,8 +520,8 @@ let load_sweep_cmd =
              closed-loop group senders scaled over ranks until the sequencer \
              is the bottleneck.  Without a value (or with $(b,single)) the \
              three stacks are compared under the paper's protocol; with \
-             policy modes ($(b,single) | $(b,batch)[:N] | $(b,rotate)[:N] | \
-             $(b,shard)[:N] | $(b,failover), comma-separated, or $(b,all)) \
+             policy modes ($(b,single) | $(b,batch)[:N] | $(b,shard)[:N] | \
+             $(b,failover), comma-separated, or $(b,all)) \
              the user stack's capacity is swept policy by policy.")
   in
   let run impls rates nodes clients op arrival mix window warmup seed sequencer

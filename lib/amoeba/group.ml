@@ -1,6 +1,8 @@
 module Thread = Machine.Thread
 module Mach = Machine.Mach
-module Id_tbl = Flip.Address.Id_tbl
+module T = Flip.Total_order
+module History = T.History
+module Window = T.Window
 
 type config = {
   header_bytes : int;
@@ -33,102 +35,51 @@ let default_config =
     history_high = 512;
   }
 
-exception Group_failure of string
-
-type entry = {
-  e_seq : int;
-  e_sender : int;
-  e_local : int;
-  e_size : int;
-  e_user : Sim.Payload.t;
-}
-
 type membership_event = Joined of int | Left of int
 
 type Sim.Payload.t +=
-  | Pb_req of { sender : int; local_id : int; size : int; user : Sim.Payload.t }
-  | Bb_data of { sender : int; local_id : int; size : int; user : Sim.Payload.t }
-  | Ordered of entry
-  | Ordered_batch of entry list
-  | Accept of { a_seq : int; a_sender : int; a_local : int }
-  | Retrans_req of { rq_member : int; rq_from : int }
-  | Status_req of { sr_next : int }
-  | Status_rsp of { st_member : int; st_delivered : int }
   | Join_req of { j_addr : Flip.Address.t }
   | Join_ack of { j_index : int; j_seq : int }
   | Leave_req of { l_index : int }
   | Member_joined of int * Flip.Address.t
   | Member_left of int
 
-(* Sequence numbers queued for ordering but not yet assigned. *)
-let queued_mark = -1
-
 (* Sender index used for the sequencer's own membership announcements. *)
 let system_sender = -1
 
 type sequencer = {
   sq_flip : Flip.Flip_iface.t;
+  h : History.t;
   sq_members : (int, Flip.Address.t) Hashtbl.t;
-  sq_delivered : (int, int) Hashtbl.t; (* highest contiguous seq reported *)
   mutable sq_next_index : int;
-  mutable next_seq : int;
-  history : entry Id_tbl.t;
-  mutable hist_lo : int;
-  ordered_ids : Flip.Ordered_ids.t; (* (sender, local) -> seq, or queued_mark *)
   sq_reasm : Flip.Reassembly.t;
   mutable sq_sys_local : int; (* local-id counter for system announcements *)
   joining : (Flip.Address.t, int) Hashtbl.t; (* joiner addr -> index *)
   join_seq : (int, int) Hashtbl.t; (* index -> seq of its join announcement *)
   left_seq : (int, int) Hashtbl.t; (* index -> seq of its leave announcement *)
-  mutable status_outstanding : bool;
   mutable status_round : int;
   last_status_rsp : (int, int) Hashtbl.t; (* index -> round last answered *)
-  mutable idle_timer : Sim.Engine.handle option;
   sq_pending : (int * int * int * Sim.Payload.t) Queue.t; (* batched PB requests *)
   mutable sq_batch_scheduled : bool;
 }
 
 type t = {
   cfg : config;
-  gname : string;
+  wire : T.wire;
+  stats : T.stats;
   gaddr : Flip.Address.t;
   saddr : Flip.Address.t;
   mutable seqst : sequencer option;
-  mutable n_ordered : int;
-  mutable n_retrans : int;
-}
-
-type slot = Full of entry | Awaiting of { aw_sender : int; aw_local : int }
-
-type send_wait = {
-  sw_local : int;
-  sw_size : int;
-  sw_user : Sim.Payload.t;
-  mutable sw_done : bool;
-  mutable sw_failed : bool;
-  mutable sw_resume : (unit -> unit) option;
-  mutable sw_timer : Sim.Engine.handle option;
-  mutable sw_tries : int;
 }
 
 type member = {
   grp : t;
   m_flip : Flip.Flip_iface.t;
-  mutable m_index : int; (* -1 until the join completes *)
   m_addr : Flip.Address.t;
   m_reasm : Flip.Reassembly.t;
-  mutable m_active : bool;
-  mutable expected : int;
-  stash : slot Id_tbl.t;
-  (* Keyed by [Flip.Ordered_ids.key] of (sender, local). *)
-  awaiting_data : int Id_tbl.t;
-  holding : (int * Sim.Payload.t) Id_tbl.t;
+  win : Window.t;
   deliver_q : (int * int * Sim.Payload.t) Queue.t;
   recv_waiters : (unit -> unit) Queue.t;
-  sends : send_wait Id_tbl.t;
-  mutable next_local : int;
-  mutable gap_timer : Sim.Engine.handle option;
-  mutable n_delivered : int;
   view : (int, unit) Hashtbl.t;
   mutable on_membership : (membership_event -> unit) option;
   mutable join_waiter : (unit -> unit) option;
@@ -136,45 +87,28 @@ type member = {
 }
 
 let config t = t.cfg
-let member_index m = m.m_index
+let member_index m = Window.me m.win
 
 let member_count t =
   match t.seqst with Some s -> Hashtbl.length s.sq_members | None -> 0
 
-let messages_ordered t = t.n_ordered
-let retransmissions t = t.n_retrans
-
-let history_length t =
-  match t.seqst with Some s -> Id_tbl.length s.history | None -> 0
-
+let messages_ordered t = t.stats.T.ordered
+let retransmissions t = t.stats.T.retrans
+let history_length t = match t.seqst with Some s -> History.length s.h | None -> 0
 let pending_deliveries m = Queue.length m.deliver_q
-let delivered_seq m = m.expected - 1
-let active m = m.m_active
+let delivered_seq m = Window.expected m.win - 1
+let active m = Window.active m.win
 let set_membership_handler m f = m.on_membership <- Some f
-
 let view m = List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) m.view [])
-
 let m_mach m = Flip.Flip_iface.machine m.m_flip
 let m_eng m = Mach.engine (m_mach m)
-
-let data_size t size = t.cfg.header_bytes + size
-
-let pair sender local = Flip.Ordered_ids.key ~sender ~local
-
-(* Data-bearing messages (Pb_req/Bb_data/Ordered) carry the group header
-   inside [data_size]; accepts and control traffic stay unattributed. *)
-let grp_hdr t = (Obs.Layer.Amoeba_grp, t.cfg.header_bytes)
 
 (* ------------------------------------------------------------------ *)
 (* Sequencer (kernel, interrupt context on the sequencer's machine) *)
 
 let seq_mach s = Flip.Flip_iface.machine s.sq_flip
 
-let seq_multicast ?hdr t s ~size payload =
-  Flip.Flip_iface.multicast ?hdr s.sq_flip ~src:t.saddr ~group:t.gaddr ~size payload
-
-let seq_unicast ?hdr t s ~dst ~size payload =
-  ignore s;
+let seq_unicast t s ~dst ~hdr ~size payload =
   Flip.Flip_iface.unicast ?hdr s.sq_flip ~src:t.saddr ~dst ~size payload
 
 (* Evict members that have ignored many consecutive status rounds, so a
@@ -194,31 +128,20 @@ let evict_unresponsive t s =
   List.iter
     (fun ix ->
       Hashtbl.remove s.sq_members ix;
-      Hashtbl.remove s.sq_delivered ix;
+      History.forget s.h ix;
       Hashtbl.remove s.last_status_rsp ix;
       s.sq_sys_local <- s.sq_sys_local + 1;
-      Flip.Ordered_ids.replace s.ordered_ids ~sender:system_sender ~local:s.sq_sys_local
-        queued_mark;
       let local = s.sq_sys_local in
+      History.mark_queued s.h ~sender:system_sender ~local;
       Mach.interrupt (seq_mach s) ~layer:Obs.Layer.Amoeba_grp ~name:"grp.evict"
         ~cost:t.cfg.seq_process (fun () ->
           let e =
-            { e_seq = s.next_seq; e_sender = system_sender; e_local = local;
-              e_size = t.cfg.accept_bytes; e_user = Member_left ix }
+            History.number s.h ~sender:system_sender ~local ~size:t.cfg.accept_bytes
+              ~user:(Member_left ix)
           in
-          s.next_seq <- s.next_seq + 1;
-          Id_tbl.replace s.history e.e_seq e;
-          Flip.Ordered_ids.replace s.ordered_ids ~sender:system_sender ~local e.e_seq;
-          Hashtbl.replace s.left_seq ix e.e_seq;
-          t.n_ordered <- t.n_ordered + 1;
-          seq_multicast ~hdr:(grp_hdr t) t s ~size:(data_size t e.e_size)
-            (Ordered e)))
+          Hashtbl.replace s.left_seq ix e.T.e_seq;
+          History.announce s.h e))
     stale
-
-(* Every live member has confirmed delivery of the full sequence. *)
-let all_caught_up s =
-  let lowest = Hashtbl.fold (fun _ v acc -> min v acc) s.sq_delivered max_int in
-  lowest = max_int || lowest >= s.next_seq - 1
 
 (* Status rounds repeat on a timer until every member has caught up (the
    request carries [next_seq], so a member that silently missed the last
@@ -228,111 +151,61 @@ let all_caught_up s =
 let rec start_status_round t s =
   s.status_round <- s.status_round + 1;
   evict_unresponsive t s;
-  seq_multicast t s ~size:t.cfg.accept_bytes (Status_req { sr_next = s.next_seq });
+  History.status_req s.h;
   ignore
     (Sim.Engine.after (Mach.engine (seq_mach s)) (2 * t.cfg.retrans_timeout) (fun () ->
-         if s.status_outstanding then
+         if History.exchanging s.h then
            Mach.interrupt (seq_mach s) ~layer:Obs.Layer.Amoeba_grp
              ~name:"grp.status" ~cost:t.cfg.seq_process
              (fun () -> start_status_round t s)))
 
-let maybe_status_exchange t s =
-  if Id_tbl.length s.history > t.cfg.history_high && not s.status_outstanding then begin
-    s.status_outstanding <- true;
-    start_status_round t s
-  end
+let maybe_status_exchange t s = if History.overflowing s.h then start_status_round t s
 
-(* An idle check runs a while after each ordering: if some member has not
-   confirmed the tail of the sequence, run catch-up rounds.  This is what
-   guarantees the *last* broadcast of a run reaches everyone — losing it
-   leaves no later traffic to expose the gap. *)
-let rec arm_idle_check t s =
-  (match s.idle_timer with
-   | Some h -> Sim.Engine.cancel (Mach.engine (seq_mach s)) h
-   | None -> ());
-  s.idle_timer <-
-    Some
-      (Sim.Engine.after (Mach.engine (seq_mach s)) (2 * t.cfg.retrans_timeout) (fun () ->
-           s.idle_timer <- None;
-           if not (all_caught_up s) then begin
-             if not s.status_outstanding then begin
-               s.status_outstanding <- true;
-               Mach.interrupt (seq_mach s) ~layer:Obs.Layer.Amoeba_grp
-                 ~name:"grp.status" ~cost:t.cfg.seq_process
-                 (fun () -> start_status_round t s)
-             end;
-             arm_idle_check t s
-           end))
+(* The idle check's catch-up is a status round; rounds repeat until every
+   member has caught up. *)
+let arm_idle_check t s =
+  History.arm_idle s.h ~catch_up:(fun () ->
+      if History.begin_exchange s.h then
+        Mach.interrupt (seq_mach s) ~layer:Obs.Layer.Amoeba_grp ~name:"grp.status"
+          ~cost:t.cfg.seq_process (fun () -> start_status_round t s);
+      true)
 
-let do_order t s ~sender ~local_id ~size ~user =
-  let e = { e_seq = s.next_seq; e_sender = sender; e_local = local_id; e_size = size; e_user = user } in
-  s.next_seq <- s.next_seq + 1;
-  Id_tbl.replace s.history e.e_seq e;
-  Flip.Ordered_ids.replace s.ordered_ids ~sender ~local:local_id e.e_seq;
-  t.n_ordered <- t.n_ordered + 1;
-  if size <= t.cfg.bb_threshold then
-    (* PB: the sequencer multicasts the full message. *)
-    seq_multicast ~hdr:(grp_hdr t) t s ~size:(data_size t size) (Ordered e)
-  else
-    (* BB: the data was multicast by the sender; a small accept orders it. *)
-    seq_multicast t s ~size:t.cfg.accept_bytes
-      (Accept { a_seq = e.e_seq; a_sender = sender; a_local = local_id });
+let do_order t s ~sender ~local ~size ~user =
+  let e = History.number s.h ~sender ~local ~size ~user in
+  History.announce s.h e;
   (* Membership announcements carry extra bookkeeping. *)
-  (match e.e_user with
+  (match e.T.e_user with
    | Member_joined (index, addr) ->
-     Hashtbl.replace s.join_seq index e.e_seq;
-     Hashtbl.replace s.sq_delivered index (e.e_seq - 1);
+     Hashtbl.replace s.join_seq index e.T.e_seq;
+     History.set_delivered s.h index (e.T.e_seq - 1);
      Hashtbl.replace s.last_status_rsp index s.status_round;
-     seq_unicast t s ~dst:addr ~size:t.cfg.accept_bytes
-       (Join_ack { j_index = index; j_seq = e.e_seq })
+     seq_unicast t s ~dst:addr ~hdr:None ~size:t.cfg.accept_bytes
+       (Join_ack { j_index = index; j_seq = e.T.e_seq })
    | Member_left index ->
-     Hashtbl.replace s.left_seq index e.e_seq;
+     Hashtbl.replace s.left_seq index e.T.e_seq;
      Hashtbl.remove s.sq_members index;
-     Hashtbl.remove s.sq_delivered index
+     History.forget s.h index
    | _ -> ());
   maybe_status_exchange t s;
   arm_idle_check t s
-
-(* A queued ordering request: the sequencer's work is charged as a software
-   interrupt on its machine, preempting whatever thread runs there. *)
-let schedule_order_now t s ~sender ~local_id ~size ~user =
-  Mach.interrupt (seq_mach s) ~layer:Obs.Layer.Amoeba_grp ~name:"grp.sequencer"
-    ~cost:t.cfg.seq_process (fun () ->
-      do_order t s ~sender ~local_id ~size ~user)
 
 (* Batched ordering: while one sequencer interrupt is pending, further PB
    data requests queue behind it; the interrupt drains up to
    [seq_batch_max] of them, assigns them a consecutive range and announces
    the whole range in one multicast.  Marginal items cost only
    [seq_order_item] instead of a full [seq_process] — the amortization. *)
-let do_order_entry t s ~sender ~local_id ~size ~user =
-  let e =
-    { e_seq = s.next_seq; e_sender = sender; e_local = local_id;
-      e_size = size; e_user = user }
-  in
-  s.next_seq <- s.next_seq + 1;
-  Id_tbl.replace s.history e.e_seq e;
-  Flip.Ordered_ids.replace s.ordered_ids ~sender ~local:local_id e.e_seq;
-  t.n_ordered <- t.n_ordered + 1;
-  e
-
 let rec do_order_batch t s =
   s.sq_batch_scheduled <- false;
   let entries = ref [] and k = ref 0 in
   while !k < t.cfg.seq_batch_max && not (Queue.is_empty s.sq_pending) do
-    let sender, local_id, size, user = Queue.pop s.sq_pending in
-    entries := do_order_entry t s ~sender ~local_id ~size ~user :: !entries;
+    let sender, local, size, user = Queue.pop s.sq_pending in
+    entries := History.number s.h ~sender ~local ~size ~user :: !entries;
     incr k
   done;
   (match List.rev !entries with
    | [] -> ()
-   | [ e ] ->
-     seq_multicast ~hdr:(grp_hdr t) t s ~size:(data_size t e.e_size) (Ordered e)
-   | entries ->
-     let sz =
-       List.fold_left (fun a e -> a + 8 + e.e_size) t.cfg.header_bytes entries
-     in
-     seq_multicast ~hdr:(grp_hdr t) t s ~size:sz (Ordered_batch entries));
+   | [ e ] -> History.announce s.h e
+   | entries -> History.announce_batch s.h entries);
   maybe_status_exchange t s;
   arm_idle_check t s;
   if not (Queue.is_empty s.sq_pending) then begin
@@ -341,13 +214,13 @@ let rec do_order_batch t s =
       ~cost:t.cfg.seq_process (fun () -> do_order_batch t s)
   end
 
-let schedule_order t s ~sender ~local_id ~size ~user =
-  Flip.Ordered_ids.replace s.ordered_ids ~sender ~local:local_id queued_mark;
-  if
-    t.cfg.seq_batch_max > 1 && sender <> system_sender
-    && size <= t.cfg.bb_threshold
+(* A queued ordering request: the sequencer's work is charged as a software
+   interrupt on its machine, preempting whatever thread runs there. *)
+let schedule_order t s ~sender ~local ~size ~user =
+  History.mark_queued s.h ~sender ~local;
+  if t.cfg.seq_batch_max > 1 && sender <> system_sender && not (T.uses_bb t.wire size)
   then begin
-    Queue.push (sender, local_id, size, user) s.sq_pending;
+    Queue.push (sender, local, size, user) s.sq_pending;
     let k = Queue.length s.sq_pending in
     if not s.sq_batch_scheduled then begin
       s.sq_batch_scheduled <- true;
@@ -361,43 +234,9 @@ let schedule_order t s ~sender ~local_id ~size ~user =
       Mach.interrupt (seq_mach s) ~layer:Obs.Layer.Amoeba_grp
         ~name:"grp.seq-batch-item" ~cost:t.cfg.seq_order_item (fun () -> ())
   end
-  else schedule_order_now t s ~sender ~local_id ~size ~user
-
-let resend_ordered t s ~seq ~to_member =
-  match (Id_tbl.find_opt s.history seq, Hashtbl.find_opt s.sq_members to_member) with
-  | Some e, Some addr ->
-    t.n_retrans <- t.n_retrans + 1;
-    seq_unicast ~hdr:(grp_hdr t) t s ~dst:addr ~size:(data_size t e.e_size)
-      (Ordered e)
-  | _ -> () (* trimmed, or the member is gone *)
-
-let trim_history t s =
-  let min_delivered = Hashtbl.fold (fun _ v acc -> min v acc) s.sq_delivered max_int in
-  if min_delivered >= 0 && min_delivered < max_int then begin
-    while s.hist_lo <= min_delivered do
-      Id_tbl.remove s.history s.hist_lo;
-      s.hist_lo <- s.hist_lo + 1
-    done;
-    if Id_tbl.length s.history < t.cfg.history_high && all_caught_up s then
-      s.status_outstanding <- false
-  end
-
-let max_retrans_burst = 32
-
-(* A sender retransmitted a message that was already ordered: the ordering
-   multicast was lost on the wire, i.e. lost for every member at once, so
-   re-multicast it (an answer to the sender alone would leave the other
-   members with an invisible hole at the end of the sequence). *)
-let re_announce t s ~seq =
-  match Id_tbl.find_opt s.history seq with
-  | None -> () (* trimmed: every member already delivered it *)
-  | Some e ->
-    t.n_retrans <- t.n_retrans + 1;
-    if e.e_size <= t.cfg.bb_threshold then
-      seq_multicast ~hdr:(grp_hdr t) t s ~size:(data_size t e.e_size) (Ordered e)
-    else
-      seq_multicast t s ~size:t.cfg.accept_bytes
-        (Accept { a_seq = e.e_seq; a_sender = e.e_sender; a_local = e.e_local })
+  else
+    Mach.interrupt (seq_mach s) ~layer:Obs.Layer.Amoeba_grp ~name:"grp.sequencer"
+      ~cost:t.cfg.seq_process (fun () -> do_order t s ~sender ~local ~size ~user)
 
 let handle_join_req t s ~addr =
   match Hashtbl.find_opt s.joining addr with
@@ -405,7 +244,7 @@ let handle_join_req t s ~addr =
       (* Duplicate join: ack again if the announcement is already out. *)
       match Hashtbl.find_opt s.join_seq index with
       | Some seq ->
-        seq_unicast t s ~dst:addr ~size:t.cfg.accept_bytes
+        seq_unicast t s ~dst:addr ~hdr:None ~size:t.cfg.accept_bytes
           (Join_ack { j_index = index; j_seq = seq })
       | None -> ())
   | None ->
@@ -414,46 +253,37 @@ let handle_join_req t s ~addr =
     Hashtbl.replace s.joining addr index;
     Hashtbl.replace s.sq_members index addr;
     s.sq_sys_local <- s.sq_sys_local + 1;
-    schedule_order t s ~sender:system_sender ~local_id:s.sq_sys_local
+    schedule_order t s ~sender:system_sender ~local:s.sq_sys_local
       ~size:t.cfg.accept_bytes ~user:(Member_joined (index, addr))
 
 let handle_leave_req t s ~index =
   match Hashtbl.find_opt s.left_seq index with
-  | Some seq -> re_announce t s ~seq
+  | Some seq -> History.re_announce s.h seq
   | None ->
     if Hashtbl.mem s.sq_members index then begin
       s.sq_sys_local <- s.sq_sys_local + 1;
-      schedule_order t s ~sender:system_sender ~local_id:s.sq_sys_local
+      schedule_order t s ~sender:system_sender ~local:s.sq_sys_local
         ~size:t.cfg.accept_bytes ~user:(Member_left index)
     end
 
 let seq_handle t s payload =
   match payload with
-  | Pb_req { sender; local_id; size; user } -> (
-      match Flip.Ordered_ids.find_opt s.ordered_ids ~sender ~local:local_id with
-      | Some seq when seq = queued_mark -> () (* already queued *)
-      | Some seq -> re_announce t s ~seq
-      | None -> schedule_order t s ~sender ~local_id ~size ~user)
-  | Bb_data { sender; local_id; size; user } -> (
-      match Flip.Ordered_ids.find_opt s.ordered_ids ~sender ~local:local_id with
-      | Some seq when seq = queued_mark -> ()
-      | Some seq -> re_announce t s ~seq
-      | None -> schedule_order t s ~sender ~local_id ~size ~user)
-  | Retrans_req { rq_member; rq_from } ->
-    let upto = min (s.next_seq - 1) (rq_from + max_retrans_burst - 1) in
+  | T.Pb { sender; local; size; user } | T.Bb { sender; local; size; user } ->
+    if not (History.duplicate s.h ~sender ~local) then
+      schedule_order t s ~sender ~local ~size ~user
+  | T.Retrans_req { member; from } ->
+    let upto = History.burst_end s.h ~from in
     Mach.interrupt (seq_mach s) ~layer:Obs.Layer.Amoeba_grp ~name:"grp.retrans"
-      ~cost:(t.cfg.seq_process * max 1 (upto - rq_from + 1))
+      ~cost:(t.cfg.seq_process * max 1 (upto - from + 1))
       (fun () ->
-        for seq = rq_from to upto do
-          resend_ordered t s ~seq ~to_member:rq_member
-        done)
-  | Status_rsp { st_member; st_delivered } ->
-    if Hashtbl.mem s.sq_members st_member then begin
-      let prev = try Hashtbl.find s.sq_delivered st_member with Not_found -> -1 in
-      Hashtbl.replace s.sq_delivered st_member (max prev st_delivered);
-      Hashtbl.replace s.last_status_rsp st_member s.status_round;
-      trim_history t s;
-      if all_caught_up s then s.status_outstanding <- false
+        match Hashtbl.find_opt s.sq_members member with
+        | Some dst -> History.resend s.h ~from ~upto (seq_unicast t s ~dst)
+        | None -> () (* the member is gone *))
+  | T.Status_rsp { member; delivered } ->
+    if Hashtbl.mem s.sq_members member then begin
+      History.report s.h ~member ~delivered;
+      Hashtbl.replace s.last_status_rsp member s.status_round;
+      History.settle s.h
     end
   | Join_req { j_addr } -> handle_join_req t s ~addr:j_addr
   | Leave_req { l_index } -> handle_leave_req t s ~index:l_index
@@ -476,24 +306,16 @@ let membership_event m event =
    | Left ix -> Hashtbl.remove m.view ix);
   (match m.on_membership with Some f -> f event | None -> ());
   match event with
-  | Joined ix when ix = m.m_index -> (
+  | Joined ix when ix = Window.me m.win -> (
       match m.join_waiter with
       | Some wake ->
         m.join_waiter <- None;
         wake ()
       | None -> ())
-  | Left ix when ix = m.m_index -> (
+  | Left ix when ix = Window.me m.win -> (
       (* Out of the group (left or evicted): stop all recovery activity so
          a departed member cannot pester the sequencer forever. *)
-      m.m_active <- false;
-      (match m.gap_timer with
-       | Some h ->
-         Sim.Engine.cancel (m_eng m) h;
-         m.gap_timer <- None
-       | None -> ());
-      Id_tbl.reset m.stash;
-      Id_tbl.reset m.awaiting_data;
-      Id_tbl.reset m.holding;
+      Window.leave m.win;
       match m.leave_waiter with
       | Some wake ->
         m.leave_waiter <- None;
@@ -501,121 +323,40 @@ let membership_event m event =
       | None -> ())
   | Joined _ | Left _ -> ()
 
-let deliver m e =
-  m.n_delivered <- m.n_delivered + 1;
-  if e.e_sender = system_sender then (
-    match e.e_user with
-    | Member_joined (ix, _) -> membership_event m (Joined ix)
-    | Member_left ix -> membership_event m (Left ix)
-    | _ -> ())
-  else begin
-    Queue.push (e.e_sender, e.e_size, e.e_user) m.deliver_q;
-    wake_receiver m;
-    if e.e_sender = m.m_index then
-      match Id_tbl.find_opt m.sends e.e_local with
-      | Some sw ->
-        Id_tbl.remove m.sends e.e_local;
-        sw.sw_done <- true;
-        (match sw.sw_timer with Some h -> Sim.Engine.cancel (m_eng m) h | None -> ());
-        (match sw.sw_resume with
-         | Some resume ->
-           sw.sw_resume <- None;
-           resume ()
-         | None -> ())
-      | None -> ()
-  end
+module W = Window.Make (struct
+  type nonrec member = member
 
-let send_retrans_req m =
-  if m.m_active then begin
-    m.grp.n_retrans <- m.grp.n_retrans + 1;
+  let window m = m.win
+
+  let to_sequencer m ~from_timer:_ payload =
     Flip.Flip_iface.unicast m.m_flip ~src:m.m_addr ~dst:m.grp.saddr
-      ~size:m.grp.cfg.accept_bytes
-      (Retrans_req { rq_member = m.m_index; rq_from = m.expected })
-  end
+      ~size:m.grp.cfg.accept_bytes payload
 
-(* Re-request while a gap persists. *)
-let rec arm_gap_timer m =
-  if m.gap_timer = None && Id_tbl.length m.stash > 0 then
-    m.gap_timer <-
-      Some
-        (Sim.Engine.after (m_eng m) m.grp.cfg.retrans_timeout (fun () ->
-             m.gap_timer <- None;
-             if Id_tbl.length m.stash > 0 then begin
-               send_retrans_req m;
-               arm_gap_timer m
-             end))
+  let on_gap_timer _ = ()
 
-let rec drain m =
-  match Id_tbl.find_opt m.stash m.expected with
-  | Some (Full e) ->
-    Id_tbl.remove m.stash m.expected;
-    m.expected <- m.expected + 1;
-    deliver m e;
-    drain m
-  | Some (Awaiting _) | None -> ()
-
-let handle_ordered m e =
-  if m.m_active && m.expected >= 0 && e.e_seq >= m.expected then begin
-    (match Id_tbl.find_opt m.stash e.e_seq with
-     | Some (Full _) -> () (* duplicate *)
-     | Some (Awaiting _) | None -> Id_tbl.replace m.stash e.e_seq (Full e));
-    Id_tbl.remove m.awaiting_data (pair e.e_sender e.e_local);
-    let had_gap = e.e_seq > m.expected in
-    drain m;
-    if had_gap && Id_tbl.length m.stash > 0 then begin
-      send_retrans_req m;
-      arm_gap_timer m
+  let deliver m e =
+    if e.T.e_sender = system_sender then (
+      match e.T.e_user with
+      | Member_joined (ix, _) -> membership_event m (Joined ix)
+      | Member_left ix -> membership_event m (Left ix)
+      | _ -> ())
+    else begin
+      Queue.push (e.T.e_sender, e.T.e_size, e.T.e_user) m.deliver_q;
+      wake_receiver m;
+      Window.complete m.win e ~wake:(fun _ resume -> resume ())
     end
-  end
-
-let handle_accept m ~a_seq ~a_sender ~a_local =
-  if m.expected >= 0 && a_seq >= m.expected then
-    match Id_tbl.find_opt m.holding (pair a_sender a_local) with
-    | Some (size, user) ->
-      Id_tbl.remove m.holding (pair a_sender a_local);
-      handle_ordered m
-        { e_seq = a_seq; e_sender = a_sender; e_local = a_local; e_size = size; e_user = user }
-    | None ->
-      (* Accept outran (or lost) the data: remember and fetch it. *)
-      (match Id_tbl.find_opt m.stash a_seq with
-       | Some (Full _) -> ()
-       | Some (Awaiting _) | None ->
-         Id_tbl.replace m.stash a_seq (Awaiting { aw_sender = a_sender; aw_local = a_local });
-         Id_tbl.replace m.awaiting_data (pair a_sender a_local) a_seq;
-         send_retrans_req m;
-         arm_gap_timer m)
+end)
 
 let member_handle m payload =
-  match payload with
-  | Ordered e -> handle_ordered m e
-  | Ordered_batch entries -> List.iter (fun e -> handle_ordered m e) entries
-  | Accept { a_seq; a_sender; a_local } -> handle_accept m ~a_seq ~a_sender ~a_local
-  | Bb_data { sender; local_id; size; user } -> (
-      match Id_tbl.find_opt m.awaiting_data (pair sender local_id) with
-      | Some seq ->
-        Id_tbl.remove m.awaiting_data (pair sender local_id);
-        handle_ordered m
-          { e_seq = seq; e_sender = sender; e_local = local_id; e_size = size; e_user = user }
-      | None ->
-        if not (Id_tbl.mem m.holding (pair sender local_id)) then
-          Id_tbl.replace m.holding (pair sender local_id) (size, user))
-  | Status_req { sr_next } ->
-    if m.m_index >= 0 && m.m_active then begin
-      (* A silent tail: the sequencer has ordered messages we never saw
-         and nothing later arrived to reveal the hole — fetch them. *)
-      if m.expected < sr_next then send_retrans_req m;
-      Flip.Flip_iface.unicast m.m_flip ~src:m.m_addr ~dst:m.grp.saddr
-        ~size:m.grp.cfg.accept_bytes
-        (Status_rsp { st_member = m.m_index; st_delivered = m.expected - 1 })
-    end
-  | Join_ack { j_index; j_seq } ->
-    if m.m_index < 0 then begin
-      m.m_index <- j_index;
-      m.expected <- j_seq;
-      (* Pull the announcement (and anything since) from the history. *)
-      send_retrans_req m
-    end
-  | _ -> ()
+  if not (W.input m payload) then
+    match payload with
+    | Join_ack { j_index; j_seq } ->
+      if Window.me m.win < 0 then begin
+        Window.joined m.win ~index:j_index ~first:j_seq;
+        (* Pull the announcement (and anything since) from the history. *)
+        W.request m ~from_timer:false
+      end
+    | _ -> ()
 
 let member_input m frag =
   match Flip.Reassembly.add m.m_reasm frag with
@@ -630,62 +371,32 @@ let send m ~size payload =
   let t = m.grp in
   let thread = Thread.self () in
   assert (Thread.machine thread == m_mach m);
-  if m.m_index < 0 || not m.m_active then
-    raise (Group_failure "send from a member that has not joined (or has left)");
+  if Window.me m.win < 0 || not (Window.active m.win) then
+    raise (T.Group_failure "send from a member that has not joined (or has left)");
   Thread.call_frames ~layer:Obs.Layer.Amoeba_grp t.cfg.call_depth;
-  m.next_local <- m.next_local + 1;
-  let sw =
-    {
-      sw_local = m.next_local;
-      sw_size = size;
-      sw_user = payload;
-      sw_done = false;
-      sw_failed = false;
-      sw_resume = None;
-      sw_timer = None;
-      sw_tries = 0;
-    }
-  in
-  Id_tbl.replace m.sends sw.sw_local sw;
-  let msg_size = data_size t size in
+  let sw = Window.start_send m.win in
+  let sender = Window.me m.win and local = Window.local sw in
+  let msg_size = T.data_size t.wire size in
   let msg_id = Flip.Flip_iface.alloc_msg_id m.m_flip in
+  let hdr = (Obs.Layer.Amoeba_grp, t.cfg.header_bytes) in
   let transmit () =
-    if size <= t.cfg.bb_threshold then
-      Flip.Flip_iface.unicast ~msg_id ~hdr:(grp_hdr t) m.m_flip ~src:m.m_addr
-        ~dst:t.saddr ~size:msg_size
-        (Pb_req { sender = m.m_index; local_id = sw.sw_local; size; user = payload })
+    if T.uses_bb t.wire size then
+      Flip.Flip_iface.multicast ~msg_id ~hdr m.m_flip ~src:m.m_addr ~group:t.gaddr
+        ~size:msg_size
+        (T.Bb { sender; local; size; user = payload })
     else
-      Flip.Flip_iface.multicast ~msg_id ~hdr:(grp_hdr t) m.m_flip ~src:m.m_addr
-        ~group:t.gaddr ~size:msg_size
-        (Bb_data { sender = m.m_index; local_id = sw.sw_local; size; user = payload })
+      Flip.Flip_iface.unicast ~msg_id ~hdr m.m_flip ~src:m.m_addr ~dst:t.saddr ~size:msg_size
+        (T.Pb { sender; local; size; user = payload })
   in
-  let rec arm () =
-    sw.sw_timer <-
-      Some
-        (Sim.Engine.after (m_eng m) t.cfg.retrans_timeout (fun () ->
-             if not sw.sw_done then
-               if sw.sw_tries >= t.cfg.max_retries then begin
-                 sw.sw_failed <- true;
-                 Id_tbl.remove m.sends sw.sw_local;
-                 match sw.sw_resume with
-                 | Some resume ->
-                   sw.sw_resume <- None;
-                   resume ()
-                 | None -> ()
-               end
-               else begin
-                 sw.sw_tries <- sw.sw_tries + 1;
-                 t.n_retrans <- t.n_retrans + 1;
-                 let cost = Flip.Flip_iface.send_cost m.m_flip ~size:msg_size in
-                 Mach.interrupt (m_mach m) ~layer:Obs.Layer.Amoeba_grp
-                   ~charges:[ (Obs.Layer.Flip, Obs.Cause.Proto_proc, cost) ]
-                   ~name:"grp.resend" ~cost transmit;
-                 arm ()
-               end))
+  let retransmit () =
+    let cost = Flip.Flip_iface.send_cost m.m_flip ~size:msg_size in
+    Mach.interrupt (m_mach m) ~layer:Obs.Layer.Amoeba_grp
+      ~charges:[ (Obs.Layer.Flip, Obs.Cause.Proto_proc, cost) ]
+      ~name:"grp.resend" ~cost transmit
   in
   (* Transmission overlaps the system call's copy work, as in the RPC. *)
   transmit ();
-  arm ();
+  Window.arm_retry m.win sw ~retransmit;
   let copy = size * t.cfg.copy_byte in
   let out = Flip.Flip_iface.send_cost m.m_flip ~size:msg_size in
   Thread.syscall ~layer:Obs.Layer.Amoeba_grp ~kernel_work:(copy + out)
@@ -693,9 +404,9 @@ let send m ~size payload =
       [ (Obs.Layer.Amoeba_grp, Obs.Cause.Copy, copy);
         (Obs.Layer.Flip, Obs.Cause.Proto_proc, out) ]
     ();
-  if not sw.sw_done then Thread.suspend (fun _ resume -> sw.sw_resume <- Some resume);
+  Window.await sw;
   Thread.ret_frames ~layer:Obs.Layer.Amoeba_grp t.cfg.call_depth;
-  if sw.sw_failed then raise (Group_failure "broadcast not ordered after retries")
+  Window.check sw
 
 let rec receive_loop m =
   let t = m.grp in
@@ -717,24 +428,18 @@ let receive m =
 (* ------------------------------------------------------------------ *)
 (* Construction and membership *)
 
-let make_member t flip ~index ~active =
+let make_member t flip ~index =
+  let eng = Mach.engine (Flip.Flip_iface.machine flip) in
   {
     grp = t;
     m_flip = flip;
-    m_index = index;
-    m_addr = Flip.Address.fresh_point (Mach.engine (Flip.Flip_iface.machine flip));
+    m_addr = Flip.Address.fresh_point eng;
     m_reasm = Flip.Reassembly.create ();
-    m_active = active;
-    expected = (if active then 0 else -1);
-    stash = Id_tbl.create 32;
-    awaiting_data = Id_tbl.create 8;
-    holding = Id_tbl.create 8;
+    win =
+      Window.create eng ~stats:t.stats ~timeout:t.cfg.retrans_timeout
+        ~max_retries:t.cfg.max_retries ~me:index;
     deliver_q = Queue.create ();
     recv_waiters = Queue.create ();
-    sends = Id_tbl.create 4;
-    next_local = 0;
-    gap_timer = None;
-    n_delivered = 0;
     view = Hashtbl.create 8;
     on_membership = None;
     join_waiter = None;
@@ -754,54 +459,51 @@ let register_member t ?seq_tap m =
   Flip.Flip_iface.register m.m_flip m.m_addr (fun frag -> member_input m frag)
 
 let create_static ?(config = default_config) ~name ~sequencer flips =
+  ignore name;
   let n = Array.length flips in
   assert (n > 0 && sequencer >= 0 && sequencer < n);
   let eng = Mach.engine (Flip.Flip_iface.machine flips.(0)) in
   let t =
     {
       cfg = config;
-      gname = name;
+      wire =
+        { T.layer = Obs.Layer.Amoeba_grp; header_bytes = config.header_bytes;
+          accept_bytes = config.accept_bytes; bb_threshold = config.bb_threshold };
+      stats = T.stats ();
       gaddr = Flip.Address.fresh_group eng;
       saddr = Flip.Address.fresh_point eng;
       seqst = None;
-      n_ordered = 0;
-      n_retrans = 0;
     }
   in
-  let members =
-    Array.mapi (fun i flip -> make_member t flip ~index:i ~active:true) flips
-  in
+  let members = Array.init n (fun i -> make_member t flips.(i) ~index:i) in
   Array.iter
     (fun m -> Array.iteri (fun i _ -> Hashtbl.replace m.view i ()) members)
     members;
+  let sq_flip = flips.(sequencer) in
   let s =
     {
-      sq_flip = flips.(sequencer);
+      sq_flip;
+      h =
+        History.create (Mach.engine (Flip.Flip_iface.machine sq_flip)) ~wire:t.wire
+          ~stats:t.stats ~high:config.history_high
+          ~idle_period:(2 * config.retrans_timeout) ~settle:History.Every_member_caught_up
+          ~members:n
+          ~mcast:(fun ~hdr ~size payload ->
+            Flip.Flip_iface.multicast ?hdr sq_flip ~src:t.saddr ~group:t.gaddr ~size payload);
       sq_members = Hashtbl.create 16;
-      sq_delivered = Hashtbl.create 16;
       sq_next_index = n;
-      next_seq = 0;
-      history = Id_tbl.create 1024;
-      hist_lo = 0;
-      ordered_ids = Flip.Ordered_ids.create ();
       sq_reasm = Flip.Reassembly.create ();
       sq_sys_local = 0;
       joining = Hashtbl.create 4;
       join_seq = Hashtbl.create 4;
       left_seq = Hashtbl.create 4;
-      status_outstanding = false;
       status_round = 0;
       last_status_rsp = Hashtbl.create 16;
-      idle_timer = None;
       sq_pending = Queue.create ();
       sq_batch_scheduled = false;
     }
   in
-  Array.iteri
-    (fun i m ->
-      Hashtbl.replace s.sq_members i m.m_addr;
-      Hashtbl.replace s.sq_delivered i (-1))
-    members;
+  Array.iteri (fun i m -> Hashtbl.replace s.sq_members i m.m_addr) members;
   t.seqst <- Some s;
   (* The sequencer's point address lives on its machine. *)
   Flip.Flip_iface.register s.sq_flip t.saddr (fun frag -> seq_input t s frag);
@@ -809,22 +511,20 @@ let create_static ?(config = default_config) ~name ~sequencer flips =
      (for retransmissions unicast by the sequencer).  On the sequencer's
      machine the group-address traffic also feeds the sequencer, which
      needs to see BB data messages to assign them sequence numbers. *)
-  Array.iter
-    (fun m ->
-      let seq_tap = if m.m_index = sequencer then Some s else None in
+  Array.iteri
+    (fun i m ->
+      let seq_tap = if i = sequencer then Some s else None in
       register_member t ?seq_tap m)
     members;
   (t, members)
 
-let join t flip =
-  let m = make_member t flip ~index:(-1) ~active:true in
-  register_member t m;
-  (* Ask the sequencer for a slot, retransmitting until the join
-     announcement comes back through the total order. *)
+(* Join and leave requests are retransmitted until their announcement
+   comes back through the total order (or the retries run out). *)
+let request_until m ~waiter payload =
+  let t = m.grp in
   let cancelled = ref false in
-  let send_join () =
-    Flip.Flip_iface.unicast m.m_flip ~src:m.m_addr ~dst:t.saddr
-      ~size:t.cfg.accept_bytes (Join_req { j_addr = m.m_addr })
+  let send_req () =
+    Flip.Flip_iface.unicast m.m_flip ~src:m.m_addr ~dst:t.saddr ~size:t.cfg.accept_bytes payload
   in
   let rec arm tries =
     ignore
@@ -832,7 +532,7 @@ let join t flip =
            if not !cancelled then
              if tries >= t.cfg.max_retries then ()
              else begin
-               send_join ();
+               send_req ();
                arm (tries + 1)
              end))
   in
@@ -840,38 +540,20 @@ let join t flip =
   Thread.syscall ~layer:Obs.Layer.Amoeba_grp ~kernel_work:out
     ~charges:[ (Obs.Layer.Flip, Obs.Cause.Proto_proc, out) ]
     ();
-  send_join ();
+  send_req ();
   arm 0;
-  Thread.suspend (fun _ resume -> m.join_waiter <- Some resume);
-  cancelled := true;
-  if m.m_index < 0 then raise (Group_failure "join did not complete");
+  Thread.suspend (fun _ resume -> waiter resume);
+  cancelled := true
+
+let join t flip =
+  let m = make_member t flip ~index:(-1) in
+  register_member t m;
+  request_until m ~waiter:(fun resume -> m.join_waiter <- Some resume)
+    (Join_req { j_addr = m.m_addr });
+  if Window.me m.win < 0 then raise (T.Group_failure "join did not complete");
   m
 
 let leave m =
-  let t = m.grp in
-  if m.m_index < 0 || not m.m_active then ()
-  else begin
-    let cancelled = ref false in
-    let send_leave () =
-      Flip.Flip_iface.unicast m.m_flip ~src:m.m_addr ~dst:t.saddr
-        ~size:t.cfg.accept_bytes (Leave_req { l_index = m.m_index })
-    in
-    let rec arm tries =
-      ignore
-        (Sim.Engine.after (m_eng m) t.cfg.retrans_timeout (fun () ->
-             if not !cancelled then
-               if tries >= t.cfg.max_retries then ()
-               else begin
-                 send_leave ();
-                 arm (tries + 1)
-               end))
-    in
-    let out = Flip.Flip_iface.send_cost m.m_flip ~size:t.cfg.accept_bytes in
-    Thread.syscall ~layer:Obs.Layer.Amoeba_grp ~kernel_work:out
-      ~charges:[ (Obs.Layer.Flip, Obs.Cause.Proto_proc, out) ]
-      ();
-    send_leave ();
-    arm 0;
-    Thread.suspend (fun _ resume -> m.leave_waiter <- Some resume);
-    cancelled := true
-  end
+  if Window.me m.win >= 0 && Window.active m.win then
+    request_until m ~waiter:(fun resume -> m.leave_waiter <- Some resume)
+      (Leave_req { l_index = Window.me m.win })

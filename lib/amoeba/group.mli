@@ -24,7 +24,14 @@
     members that stop answering status exchanges are evicted so a dead
     member cannot block history trimming.  (Sequencer failure/recovery —
     Amoeba's reset protocol — is out of scope: the paper's experiments
-    never lose the sequencer.) *)
+    never lose the sequencer.)
+
+    The protocol itself — the member's delivery window, the sequencer's
+    history and the wire messages — is {!Flip.Total_order}, shared with
+    [Panda.Group].  What this module adds is the placement: the
+    sequencer runs in interrupt context, members deliver into a receive
+    queue, status rounds run until every member has caught up and evict
+    unresponsive members, and membership is dynamic. *)
 
 type config = {
   header_bytes : int;  (** data-message header (52 in the paper) *)
@@ -35,7 +42,7 @@ type config = {
       (** sequencer's per-message handling, in interrupt context *)
   seq_batch_max : int;
       (** max PB orderings coalesced into one interrupt + one
-          {!Ordered_batch} multicast; 1 disables batching (the paper's
+          [Ordered_batch] multicast; 1 disables batching (the paper's
           protocol, and the default) *)
   seq_order_item : Sim.Time.span;
       (** marginal sequencer cost per extra batched ordering *)
@@ -53,36 +60,18 @@ type t
 
 type member
 
-type entry = {
-  e_seq : int;
-  e_sender : int;
-  e_local : int;
-  e_size : int;
-  e_user : Sim.Payload.t;
-}
-(** An ordered message as stored in the sequencer's history.  Membership
-    announcements appear as entries whose [e_sender] is the system. *)
-
 type membership_event = Joined of int | Left of int
 
-(** On-the-wire protocol messages, exposed for tests and failure-injection
-    benches. *)
+(** The membership messages; the data protocol's are
+    {!Flip.Total_order}'s.  Membership announcements are ordered entries
+    whose [e_sender] is the system (-1) and whose payload is
+    [Member_joined] or [Member_left]. *)
 type Sim.Payload.t +=
-  | Pb_req of { sender : int; local_id : int; size : int; user : Sim.Payload.t }
-  | Bb_data of { sender : int; local_id : int; size : int; user : Sim.Payload.t }
-  | Ordered of entry
-  | Ordered_batch of entry list
-  | Accept of { a_seq : int; a_sender : int; a_local : int }
-  | Retrans_req of { rq_member : int; rq_from : int }
-  | Status_req of { sr_next : int }
-  | Status_rsp of { st_member : int; st_delivered : int }
   | Join_req of { j_addr : Flip.Address.t }
   | Join_ack of { j_index : int; j_seq : int }
   | Leave_req of { l_index : int }
   | Member_joined of int * Flip.Address.t
   | Member_left of int
-
-exception Group_failure of string
 
 val create_static :
   ?config:config ->
@@ -100,8 +89,8 @@ val member_count : t -> int
 
 val send : member -> size:int -> Sim.Payload.t -> unit
 (** Blocking broadcast: returns once the calling member has received its
-    own message in the total order.  @raise Group_failure on exhausted
-    retransmissions. *)
+    own message in the total order.
+    @raise Flip.Total_order.Group_failure on exhausted retransmissions. *)
 
 val receive : member -> int * int * Sim.Payload.t
 (** [receive m] blocks until the next message in the total order and
@@ -114,7 +103,7 @@ val join : t -> Flip.Flip_iface.t -> member
 (** Blocking: returns once the join announcement has come back through the
     total order, so the new member's deliveries start at a well-defined
     point in the sequence.  One member per machine.
-    @raise Group_failure if the sequencer never answers. *)
+    @raise Flip.Total_order.Group_failure if the sequencer never answers. *)
 
 val leave : member -> unit
 (** Blocking: returns once the leave announcement has been delivered; the

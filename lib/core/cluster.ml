@@ -130,8 +130,8 @@ let sequencer_support ?(seq_crash = false) impl policy =
     else Ok ()
   | Kernel, p ->
     (* The kernel sequencer runs in interrupt context; of the capacity
-       policies only ordering-batch coalescing translates (rotation and
-       sharding would be kernel-reset-protocol surgery, §6). *)
+       policies only ordering-batch coalescing translates (sharding would
+       be kernel-reset-protocol surgery, §6). *)
     Error
       (Printf.sprintf
          "the kernel stack cannot run sequencer policy %s (single and batch only)"

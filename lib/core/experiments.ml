@@ -324,7 +324,7 @@ let group_throughput ?faults ?net ~impl () =
       for _ = 1 to per_member do
         send ()
       done
-    with Amoeba.Group.Group_failure _ | Panda.Group.Group_failure _ -> gave_up := true
+    with Flip.Total_order.Group_failure _ -> gave_up := true
   in
   let note_delivery () =
     incr delivered;

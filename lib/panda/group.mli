@@ -19,11 +19,18 @@
     The sequencer is also the system's hardest scaling wall (~725 msg/s
     with its CPU pinned), so the group accepts a {!Seq_policy.t} choosing
     the protocol family around it: sequence-number batching with
-    piggybacked acks, a rotating ordering token, sharded sequencers
+    piggybacked acks, sharded sequencers
     (gap-free total order {e per shard}, keyed by the sender's [?key]),
     and crash failover in which a standby sequencer rebuilds ordering
     state from the members' bounded history buffers.  The default
-    [Single] policy is byte-for-byte the paper's protocol. *)
+    [Single] policy is byte-for-byte the paper's protocol.
+
+    The protocol itself — the member's delivery window, the sequencer's
+    history and the wire messages — is {!Flip.Total_order}, shared with
+    [Amoeba.Group].  What this module adds is the placement: the
+    sequencer thread and its queue, delivery by upcall, bounded catch-up
+    rounds, status exchanges that end once the history is below its
+    watermark, and the policies' sharding, batching and failover. *)
 
 type config = {
   header_bytes : int;  (** data-message header (40 in the paper) *)
@@ -47,38 +54,16 @@ type sequencer_placement =
   | Dedicated of System_layer.t
       (** a machine sacrificed to run only the sequencer *)
 
-(** An ordered message as it sits in history buffers and batched
-    announcements. *)
-type entry = {
-  e_seq : int;
-  e_sender : int;
-  e_local : int;
-  e_size : int;
-  e_user : Sim.Payload.t;
-}
-
-(** Wire messages, exposed for tests and failure injection.  Non-default
-    policies add: {!Gordb} (a batched sequence-number range with the
-    history-trim watermark piggybacked), {!Gtok} (the rotating ordering
-    token), {!Gdead}/{!Ghist_req}/{!Ghist_rsp} (crash failover), and
-    {!Gshard} (the shard discriminator wrapped around every payload of a
-    sharded group — single-core groups stay unwrapped). *)
+(** The policies' own messages; the data protocol's are
+    {!Flip.Total_order}'s.  Crash failover adds
+    {!Gdead}/{!Ghist_req}/{!Ghist_rsp}, and {!Gshard} is the shard
+    discriminator wrapped around every payload of a sharded group
+    (single-core groups stay unwrapped). *)
 type Sim.Payload.t +=
-  | Gpb of { sender : int; local : int; size : int; user : Sim.Payload.t }
-  | Gbb of { sender : int; local : int; size : int; user : Sim.Payload.t }
-  | Gord of { g_seq : int; g_sender : int; g_local : int; g_size : int; g_user : Sim.Payload.t }
-  | Gacc of { g_seq : int; g_sender : int; g_local : int }
-  | Gret of { g_member : int; g_from : int }
-  | Gstat_req of { gsr_next : int }
-  | Gstat_rsp of { g_member : int; g_delivered : int }
-  | Gordb of { gb_entries : entry list; gb_lo : int }
-  | Gtok of { tk_holder : int; tk_gen : int }
   | Gdead of { gd_from : int }
   | Ghist_req of { hq_epoch : int }
-  | Ghist_rsp of { hr_member : int; hr_delivered : int; hr_entries : entry list }
+  | Ghist_rsp of { hr_member : int; hr_delivered : int; hr_entries : Flip.Total_order.entry list }
   | Gshard of { sh_core : int; sh_inner : Sim.Payload.t }
-
-exception Group_failure of string
 
 val create_static :
   ?config:config ->
@@ -114,7 +99,7 @@ val set_handler : member -> (sender:int -> size:int -> Sim.Payload.t -> unit) ->
 val send : ?key:int -> member -> size:int -> Sim.Payload.t -> unit
 (** Blocking broadcast.  [key] (default 0) picks the ordering shard via
     {!Seq_policy.shard_of_key}; it is ignored unless the group is
-    sharded.  @raise Group_failure after [max_retries]. *)
+    sharded.  @raise Flip.Total_order.Group_failure after [max_retries]. *)
 
 val send_nonblocking : ?key:int -> member -> size:int -> Sim.Payload.t -> unit
 (** Fire-and-forget broadcast (still reliable and per-shard totally
@@ -124,8 +109,8 @@ val send_nonblocking : ?key:int -> member -> size:int -> Sim.Payload.t -> unit
 val crash_sequencer : t -> unit
 (** Kills the (primary) sequencer thread mid-run: it stops processing
     and its pending queue is lost.  Members detect the silence through
-    their retransmission timers and trigger recovery — history-buffer
-    rebuild on the standby, or a token reclaim under rotation.  Sharded
+    their retransmission timers and trigger recovery: the standby
+    rebuilds the history from the members' buffers.  Sharded
     groups crash shard 0's sequencer.
     @raise Invalid_argument under the [Single] policy (no recovery). *)
 

@@ -6,25 +6,21 @@
 type t =
   | Single
   | Batching of int
-  | Rotating of int
   | Sharded of int
   | Failover
 
 let default_batch = 16
-let default_rotate = 64
 let default_shards = 4
 
 let to_string = function
   | Single -> "single"
   | Batching n -> Printf.sprintf "batch:%d" n
-  | Rotating n -> Printf.sprintf "rotate:%d" n
   | Sharded n -> Printf.sprintf "shard:%d" n
   | Failover -> "failover"
 
 let label = function
   | Single -> "single"
   | Batching _ -> "batch"
-  | Rotating _ -> "rotate"
   | Sharded _ -> "shard"
   | Failover -> "failover"
 
@@ -46,23 +42,20 @@ let of_string s =
   | "single", None -> Ok Single
   | "batch", None -> Ok (Batching default_batch)
   | "batch", Some v -> pos_int "batch" v (fun n -> Batching n)
-  | "rotate", None -> Ok (Rotating default_rotate)
-  | "rotate", Some v -> pos_int "rotate" v (fun n -> Rotating n)
   | "shard", None -> Ok (Sharded default_shards)
   | "shard", Some v -> pos_int "shard" v (fun n -> Sharded n)
   | "failover", None -> Ok Failover
   | _ ->
     Error
       (Printf.sprintf
-         "unknown sequencer policy %S (expected single, batch[:N], rotate[:N], \
-          shard[:N] or failover)"
+         "unknown sequencer policy %S (expected single, batch[:N], shard[:N] or \
+          failover)"
          s)
 
 let sweep =
   [
     Single;
     Batching default_batch;
-    Rotating default_rotate;
     Sharded default_shards;
     Failover;
   ]

@@ -11,9 +11,6 @@
       range and multicasts one combined ordered message (which also
       piggybacks the history-trim watermark), amortizing the per-message
       system calls that dominate its CPU.
-    - {!Rotating}[ n]: the ordering role migrates around the members on a
-      token after every [n] orderings, spreading sequencer CPU across
-      machines (capacity stays single-sequencer-bound, heat does not).
     - {!Sharded}[ n]: [n] independent sequencers, one per object group,
       keyed by a consistent hash of the caller's [key]; global total order
       is traded for gap-free total order {e per shard} — all the Orca RTS
@@ -28,24 +25,21 @@
 type t =
   | Single
   | Batching of int  (** max ordering requests coalesced per wakeup *)
-  | Rotating of int  (** orderings per token hold *)
   | Sharded of int  (** independent sequencer shards *)
   | Failover
 
 val default_batch : int
-val default_rotate : int
 val default_shards : int
 
 val to_string : t -> string
 (** Round-trips with {!of_string}: ["single"], ["batch:16"],
-    ["rotate:64"], ["shard:4"], ["failover"]. *)
+    ["shard:4"], ["failover"]. *)
 
 val label : t -> string
 (** Parameter-free name for table rows and JSON keys. *)
 
 val of_string : string -> (t, string) result
-(** Parses ["single"], ["batch[:N]"], ["rotate[:N]"], ["shard[:N]"],
-    ["failover"]. *)
+(** Parses ["single"], ["batch[:N]"], ["shard[:N]"], ["failover"]. *)
 
 val parse_list : string -> (t list, string) result
 (** Comma-separated {!of_string}; the item ["all"] expands to {!sweep}. *)

@@ -23,12 +23,12 @@ type fixture = {
   flips : Flip_iface.t array;
 }
 
-let pool n =
+let pool ?per_segment n =
   let eng = Engine.create () in
   let machines =
     Array.init n (fun i -> Mach.create eng ~id:i ~name:(Printf.sprintf "m%d" i) machine_config)
   in
-  let topo = Topology.build eng ~machines () in
+  let topo = Topology.build eng ~machines ?per_segment () in
   let flips =
     Array.mapi (fun i _ -> Flip_iface.create machines.(i) topo.Topology.nics.(i)) machines
   in
@@ -323,7 +323,7 @@ let test_group_loss_recovery () =
          match frame.Frame.payload with
          | Flip_iface.Data f -> (
              match f.Fragment.payload with
-             | Group.Ordered e when e.Group.e_seq = 1 && !dropped = 0 ->
+             | Total_order.Ordered e when e.Total_order.e_seq = 1 && !dropped = 0 ->
                incr dropped;
                true
              | _ -> false)
@@ -433,6 +433,33 @@ let test_group_join () =
   check_bool "joiner's view includes itself" true (List.mem 2 !view_at_join);
   check_int "sequencer counts three members" 3 (Group.member_count grp)
 
+let test_group_join_mid_stream () =
+  (* A member joining while another broadcasts must not keep what was
+     ordered before its join: stashed, those entries never drained and its
+     gap timer re-armed every 200 ms forever. *)
+  let fx = pool 3 in
+  let grp, members =
+    Group.create_static ~name:"g" ~sequencer:0 (Array.sub fx.flips 0 2)
+  in
+  let n = 40 in
+  let _logs = spawn_receivers fx members ~count:n in
+  let joined = ref None in
+  ignore
+    (Thread.spawn fx.machines.(1) "sender" (fun () ->
+         for i = 1 to n do
+           Group.send members.(1) ~size:32 (Num i)
+         done));
+  ignore
+    (Thread.spawn fx.machines.(2) "joiner" (fun () ->
+         Thread.sleep (Time.ms 3);
+         joined := Some (Group.join grp fx.flips.(2))));
+  Engine.run ~until:(Time.sec 60) fx.eng;
+  (match !joined with
+   | Some m -> check_int "joiner delivered to the end" n (Group.delivered_seq m)
+   | None -> Alcotest.fail "join did not complete");
+  check_int "nothing pending" 0 (Engine.pending fx.eng);
+  check_bool "drained before 2 s" true (Engine.latest fx.eng < Time.sec 2)
+
 let test_group_joiner_can_send () =
   let fx = pool 3 in
   let grp, members = Group.create_static ~name:"g" ~sequencer:0 (Array.sub fx.flips 0 2) in
@@ -471,6 +498,67 @@ let test_group_leave () =
   check_bool "member 0 saw the departure" true
     (List.exists (function Group.Left 2 -> true | _ -> false) !events);
   Alcotest.(check (list int)) "member 0's view" [ 0; 1 ] (Group.view members.(0))
+
+let test_group_lost_final_message () =
+  (* The run's last broadcast is lost on the far side of the switch only:
+     no later traffic reveals the hole there, so the sequencer's catch-up
+     rounds must repair it. *)
+  let fx = pool ~per_segment:2 4 in
+  let _grp, members = Group.create_static ~name:"g" ~sequencer:0 fx.flips in
+  let n = 3 in
+  let logs = spawn_receivers fx members ~count:n in
+  let spec = Result.get_ok (Faults.Spec.parse "swpart=0.1+0.05") in
+  let faults = Faults.Inject.install fx.eng fx.topo spec in
+  ignore
+    (Thread.spawn fx.machines.(1) "sender" (fun () ->
+         for i = 1 to n do
+           if i = n then Thread.sleep (Time.ms 100 - Engine.now fx.eng);
+           Group.send members.(1) ~size:32 (Num i)
+         done));
+  Engine.run fx.eng;
+  check_bool "the switch dropped the last broadcast" true
+    (Faults.Inject.switch_drops faults >= 1);
+  Array.iteri
+    (fun i log ->
+      Alcotest.(check (list (pair int int)))
+        (Printf.sprintf "member %d delivered the last broadcast" i)
+        (List.init n (fun k -> (1, k + 1)))
+        (List.rev !log))
+    logs
+
+let test_group_departed_member_quiet () =
+  (* A member that has left must ignore group traffic.  A duplicated
+     accept used to leave an awaited slot in the departed member's stash,
+     whose gap timer then re-armed every 200 ms forever. *)
+  let fx = pool 3 in
+  let _grp, members = Group.create_static ~name:"g" ~sequencer:0 fx.flips in
+  let logs = spawn_receivers fx (Array.sub members 0 2) ~count:1 in
+  let duplicated = ref false in
+  Segment.set_fault fx.topo.Topology.segments.(0)
+    (Some
+       (fun frame ->
+         match frame.Frame.payload with
+         | Flip_iface.Data { Fragment.payload = Total_order.Accept _; _ }
+           when not !duplicated ->
+           duplicated := true;
+           Segment.Duplicate
+         | _ -> Segment.Pass));
+  ignore
+    (Thread.spawn fx.machines.(2) "leaver" (fun () ->
+         Thread.sleep (Time.ms 5);
+         Group.leave members.(2)));
+  ignore
+    (Thread.spawn fx.machines.(1) "sender" (fun () ->
+         Thread.sleep (Time.ms 100);
+         Group.send members.(1) ~size:4000 (Num 4)));
+  Engine.run ~until:(Time.sec 60) fx.eng;
+  check_bool "the accept was duplicated" true !duplicated;
+  Array.iteri
+    (fun i log ->
+      Alcotest.(check (list (pair int int))) (Printf.sprintf "member %d" i) [ (1, 4) ] !log)
+    logs;
+  check_int "nothing pending" 0 (Engine.pending fx.eng);
+  check_bool "drained before 2 s" true (Engine.latest fx.eng < Time.sec 2)
 
 let test_group_eviction_of_silent_member () =
   (* A member that stops answering status requests must not block history
@@ -516,8 +604,8 @@ let test_group_silent_tail_recovered () =
          match frame.Frame.payload with
          | Flip_iface.Data f -> (
              match f.Fragment.payload with
-             | Group.Ordered e
-               when e.Group.e_seq = n - 1
+             | Total_order.Ordered e
+               when e.Total_order.e_seq = n - 1
                     && frame.Frame.dest = Frame.Multicast
                     && !drops < 4 ->
                incr drops;
@@ -643,9 +731,12 @@ let () =
           Alcotest.test_case "history trimmed" `Quick test_group_history_trimmed;
           Alcotest.test_case "join" `Quick test_group_join;
           Alcotest.test_case "joiner can send" `Quick test_group_joiner_can_send;
+          Alcotest.test_case "join mid-stream" `Quick test_group_join_mid_stream;
           Alcotest.test_case "leave" `Quick test_group_leave;
+          Alcotest.test_case "departed member stays quiet" `Quick test_group_departed_member_quiet;
           Alcotest.test_case "eviction of silent member" `Quick test_group_eviction_of_silent_member;
           Alcotest.test_case "silent tail recovered" `Quick test_group_silent_tail_recovered;
+          Alcotest.test_case "lost final message" `Quick test_group_lost_final_message;
         ]
         @ qsuite [ prop_group_total_order_under_loss ] );
       ( "capability",

@@ -572,6 +572,160 @@ let test_send_cost_scales_with_fragments () =
   check_bool "cost grows" true
     (Flip_iface.send_cost f ~size:4096 > Flip_iface.send_cost f ~size:0)
 
+(* ------------------------------------------------------------------ *)
+(* Total order: the shared delivery window on a bare engine *)
+
+module Tot = Total_order
+
+(* One member (index 0) whose placement only records: what it delivered,
+   the repair requests it sent and how often each of its own broadcasts
+   completed.  [answer] stands in for the sequencer. *)
+type tmember = {
+  tw : Tot.Window.t;
+  delivered : int list ref;
+  requests : int ref;
+  completed : (int, int) Hashtbl.t;
+  mutable answer : int -> unit;
+}
+
+module Tw = Tot.Window.Make (struct
+  type member = tmember
+
+  let window m = m.tw
+
+  let to_sequencer m ~from_timer:_ = function
+    | Tot.Retrans_req { from; _ } ->
+      incr m.requests;
+      m.answer from
+    | _ -> ()
+
+  let on_gap_timer _ = ()
+
+  let deliver m e =
+    m.delivered := e.Tot.e_seq :: !(m.delivered);
+    let before = Tot.Window.outstanding m.tw in
+    Tot.Window.complete m.tw e ~wake:(fun _ resume -> resume ());
+    if Tot.Window.outstanding m.tw < before then
+      Hashtbl.replace m.completed e.Tot.e_local
+        (1 + Option.value ~default:0 (Hashtbl.find_opt m.completed e.Tot.e_local))
+end)
+
+let tot_wire =
+  { Tot.layer = Obs.Layer.Flip; header_bytes = 40; accept_bytes = 24; bb_threshold = 1000 }
+
+(* The known total order: sender (0 = the member itself) and whether the
+   message is large enough for the BB method, per sequence number. *)
+let known_order spec =
+  let next_local = Array.make 3 0 in
+  Array.of_list
+    (List.mapi
+       (fun seq (sender, big) ->
+         let sender = sender mod 3 in
+         next_local.(sender) <- next_local.(sender) + 1;
+         { Tot.e_seq = seq; e_sender = sender; e_local = next_local.(sender);
+           e_size = (if big then 2000 else 100); e_user = Probe seq })
+       spec)
+
+(* A message's wire form: PB entries arrive whole; BB entries as the
+   sender's data and the sequencer's accept (the member already holds its
+   own data). *)
+let wire_messages (e : Tot.entry) =
+  if not (Tot.uses_bb tot_wire e.e_size) then [ Tot.Ordered e ]
+  else
+    let accept = Tot.Accept { seq = e.e_seq; sender = e.e_sender; local = e.e_local } in
+    if e.e_sender = 0 then [ accept ]
+    else
+      [ Tot.Bb { sender = e.e_sender; local = e.e_local; size = e.e_size; user = e.e_user };
+        accept ]
+
+(* Runs the window over [arrivals] (time, message) of [order]; repair
+   requests are answered 1 ms later from the known order, 32 entries at a
+   time, and a status request every 500 ms after the stream exposes a
+   silent tail.  Returns the member once the engine drains. *)
+let run_window order arrivals =
+  let eng = Engine.create () in
+  let n = Array.length order in
+  let m =
+    { tw =
+        Tot.Window.create eng ~stats:(Tot.stats ()) ~timeout:(Time.ms 200)
+          ~max_retries:1000 ~me:0;
+      delivered = ref []; requests = ref 0; completed = Hashtbl.create 8;
+      answer = ignore }
+  in
+  let input msg = ignore (Tw.input m msg) in
+  m.answer <-
+    (fun from ->
+      ignore
+        (Engine.after eng (Time.ms 1) (fun () ->
+             for seq = from to min (n - 1) (from + 31) do
+               input (Tot.Ordered order.(seq))
+             done)));
+  Array.iter
+    (fun (e : Tot.entry) ->
+      if e.e_sender = 0 then begin
+        let s = Tot.Window.start_send m.tw in
+        assert (Tot.Window.local s = e.e_local);
+        if Tot.uses_bb tot_wire e.e_size then Tot.Window.hold m.tw s ~size:e.e_size ~user:e.e_user;
+        Tot.Window.arm_retry m.tw s ~retransmit:ignore
+      end)
+    order;
+  List.iter (fun (at, msg) -> ignore (Engine.at eng at (fun () -> input msg))) arrivals;
+  let rec status_round k =
+    ignore
+      (Engine.after eng (Time.ms 500) (fun () ->
+           if List.length !(m.delivered) < n && k < 100 then begin
+             input (Tot.Status_req { next = n });
+             status_round (k + 1)
+           end))
+  in
+  status_round 0;
+  Engine.run ~until:(Time.sec 300) eng;
+  m
+
+let delivered_once_in_order order m =
+  let n = Array.length order in
+  List.rev !(m.delivered) = List.init n Fun.id
+  && Tot.Window.outstanding m.tw = 0
+  && Array.for_all
+       (fun (e : Tot.entry) ->
+         e.e_sender <> 0 || Hashtbl.find_opt m.completed e.e_local = Some 1)
+       order
+
+let order_gen = QCheck.(list_of_size Gen.(int_range 1 30) (pair small_nat bool))
+
+let prop_window_any_arrival =
+  QCheck.Test.make ~name:"window: lossy arrival, exactly once" ~count:300
+    QCheck.(pair order_gen (int_bound 1_000_000))
+    (fun (spec, seed) ->
+      let order = known_order spec in
+      let rng = Random.State.make [| seed |] in
+      let time () = Time.us (Random.State.int rng 50_000) in
+      let arrivals =
+        List.concat_map
+          (fun e ->
+            List.concat_map
+              (fun msg ->
+                let copies = if Random.State.int rng 10 = 0 then 2 else 1 in
+                if Random.State.int rng 5 = 0 then []
+                else List.init copies (fun _ -> (time (), msg)))
+              (wire_messages e))
+          (Array.to_list order)
+      in
+      delivered_once_in_order order (run_window order arrivals))
+
+let prop_window_in_order =
+  QCheck.Test.make ~name:"window: in-order stream, no repair" ~count:200 order_gen
+    (fun spec ->
+      let order = known_order spec in
+      let arrivals =
+        List.concat_map
+          (fun (e : Tot.entry) ->
+            List.mapi (fun i msg -> (Time.us ((100 * e.e_seq) + i), msg)) (wire_messages e))
+          (Array.to_list order)
+      in
+      let m = run_window order arrivals in
+      delivered_once_in_order order m && !(m.requests) = 0)
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -605,6 +759,7 @@ let () =
           Alcotest.test_case "memory" `Quick test_ordered_ids_memory;
         ]
         @ qsuite [ prop_ordered_ids_match_hashtbl ] );
+      ("total order", qsuite [ prop_window_any_arrival; prop_window_in_order ]);
       ( "iface",
         [
           Alcotest.test_case "unicast + locate" `Quick test_unicast_with_locate;

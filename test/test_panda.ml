@@ -23,12 +23,12 @@ type fixture = {
   sys : Panda.System_layer.t array;
 }
 
-let pool n =
+let pool ?per_segment n =
   let eng = Engine.create () in
   let machines =
     Array.init n (fun i -> Mach.create eng ~id:i ~name:(Printf.sprintf "m%d" i) machine_config)
   in
-  let topo = Topology.build eng ~machines () in
+  let topo = Topology.build eng ~machines ?per_segment () in
   let flips =
     Array.mapi (fun i _ -> Flip_iface.create machines.(i) topo.Topology.nics.(i)) machines
   in
@@ -334,6 +334,34 @@ let test_pgroup_loss_recovery () =
         (List.rev !log))
     logs
 
+let test_pgroup_lost_final_message () =
+  (* The run's last broadcast is lost on the far side of the switch only;
+     the user-space sequencer's catch-up rounds must repair it. *)
+  let fx = pool ~per_segment:2 4 in
+  let _grp, members =
+    Panda.Group.create_static ~name:"g" ~sequencer:(Panda.Group.On_member 0) fx.sys
+  in
+  let logs = attach_logs members in
+  let n = 3 in
+  let spec = Result.get_ok (Faults.Spec.parse "swpart=0.1+0.05") in
+  let faults = Faults.Inject.install fx.eng fx.topo spec in
+  ignore
+    (Thread.spawn fx.machines.(1) "sender" (fun () ->
+         for i = 1 to n do
+           if i = n then Thread.sleep (Time.ms 100 - Engine.now fx.eng);
+           Panda.Group.send members.(1) ~size:32 (Num i)
+         done));
+  Engine.run fx.eng;
+  check_bool "the switch dropped the last broadcast" true
+    (Faults.Inject.switch_drops faults >= 1);
+  Array.iteri
+    (fun i log ->
+      Alcotest.(check (list (pair int int)))
+        (Printf.sprintf "member %d delivered the last broadcast" i)
+        (List.init n (fun k -> (1, k + 1)))
+        (List.rev !log))
+    logs
+
 let test_pgroup_user_slower_than_kernel () =
   (* Group latency: kernel sequencer (interrupt context) beats the
      user-space sequencer thread. *)
@@ -399,8 +427,8 @@ let test_pgroup_silent_tail_recovered () =
              match Panda.System_layer.unwrap f with
              | Some pan -> (
                  match pan.Fragment.payload with
-                 | Panda.Group.Gord { g_seq; _ }
-                   when g_seq = n - 1 && frame.Frame.dest = Frame.Multicast && !drops < 4 ->
+                 | Total_order.Ordered { e_seq; _ }
+                   when e_seq = n - 1 && frame.Frame.dest = Frame.Multicast && !drops < 4 ->
                    incr drops;
                    true
                  | _ -> false)
@@ -532,6 +560,7 @@ let () =
           Alcotest.test_case "nonblocking send" `Quick test_pgroup_nonblocking_send;
           Alcotest.test_case "loss recovery" `Quick test_pgroup_loss_recovery;
           Alcotest.test_case "silent tail recovered" `Quick test_pgroup_silent_tail_recovered;
+          Alcotest.test_case "lost final message" `Quick test_pgroup_lost_final_message;
           Alcotest.test_case "user slower than kernel" `Quick test_pgroup_user_slower_than_kernel;
         ] );
       ( "optimized",

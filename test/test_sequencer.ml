@@ -121,14 +121,6 @@ let test_batching_orders_all () =
   check_int "every message ordered exactly once" (n * sends)
     (Panda.Group.messages_ordered grp)
 
-let test_rotating_orders_all () =
-  let n = 3 and sends = 12 in
-  (* A short period forces several full token cycles within the run. *)
-  let grp, logs = run_group ~n ~sends ~policy:(Panda.Seq_policy.Rotating 5) () in
-  assert_complete_and_identical ~n ~sends ~shards:1 logs;
-  check_int "every message ordered exactly once" (n * sends)
-    (Panda.Group.messages_ordered grp)
-
 let test_sharded_per_shard_order () =
   let n = 4 and sends = 12 in
   let shards = 3 in
@@ -163,8 +155,6 @@ let direct =
   [
     Alcotest.test_case "batching delivers identical total order" `Quick
       test_batching_orders_all;
-    Alcotest.test_case "rotating token delivers identical total order" `Quick
-      test_rotating_orders_all;
     Alcotest.test_case "sharded delivers per-shard identical order" `Quick
       test_sharded_per_shard_order;
     Alcotest.test_case "failover recovers total order after crash" `Quick
@@ -183,7 +173,6 @@ let direct =
 let matrix_policies =
   [
     Panda.Seq_policy.Batching 16;
-    Panda.Seq_policy.Rotating 64;
     Panda.Seq_policy.Sharded 4;
     Panda.Seq_policy.Failover;
   ]
