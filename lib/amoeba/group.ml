@@ -82,8 +82,7 @@ type member = {
   recv_waiters : (unit -> unit) Queue.t;
   view : (int, unit) Hashtbl.t;
   mutable on_membership : (membership_event -> unit) option;
-  mutable join_waiter : (unit -> unit) option;
-  mutable leave_waiter : (unit -> unit) option;
+  mutable membership : unit Flip.Request.call option; (* a join or leave *)
 }
 
 let config t = t.cfg
@@ -305,22 +304,18 @@ let membership_event m event =
    | Joined ix -> Hashtbl.replace m.view ix ()
    | Left ix -> Hashtbl.remove m.view ix);
   (match m.on_membership with Some f -> f event | None -> ());
+  let answered () =
+    Option.iter
+      (fun c -> Flip.Request.complete c () ~wake:(fun _ resume -> resume ()))
+      m.membership
+  in
   match event with
-  | Joined ix when ix = Window.me m.win -> (
-      match m.join_waiter with
-      | Some wake ->
-        m.join_waiter <- None;
-        wake ()
-      | None -> ())
-  | Left ix when ix = Window.me m.win -> (
-      (* Out of the group (left or evicted): stop all recovery activity so
-         a departed member cannot pester the sequencer forever. *)
-      Window.leave m.win;
-      match m.leave_waiter with
-      | Some wake ->
-        m.leave_waiter <- None;
-        wake ()
-      | None -> ())
+  | Joined ix when ix = Window.me m.win -> answered ()
+  | Left ix when ix = Window.me m.win ->
+    (* Out of the group (left or evicted): stop all recovery activity so
+       a departed member cannot pester the sequencer forever. *)
+    Window.leave m.win;
+    answered ()
   | Joined _ | Left _ -> ()
 
 module W = Window.Make (struct
@@ -375,7 +370,7 @@ let send m ~size payload =
     raise (T.Group_failure "send from a member that has not joined (or has left)");
   Thread.call_frames ~layer:Obs.Layer.Amoeba_grp t.cfg.call_depth;
   let sw = Window.start_send m.win in
-  let sender = Window.me m.win and local = Window.local sw in
+  let sender = Window.me m.win and local = Flip.Request.id sw in
   let msg_size = T.data_size t.wire size in
   let msg_id = Flip.Flip_iface.alloc_msg_id m.m_flip in
   let hdr = (Obs.Layer.Amoeba_grp, t.cfg.header_bytes) in
@@ -396,7 +391,7 @@ let send m ~size payload =
   in
   (* Transmission overlaps the system call's copy work, as in the RPC. *)
   transmit ();
-  Window.arm_retry m.win sw ~retransmit;
+  Window.arm_send m.win sw ~retransmit;
   let copy = size * t.cfg.copy_byte in
   let out = Flip.Flip_iface.send_cost m.m_flip ~size:msg_size in
   Thread.syscall ~layer:Obs.Layer.Amoeba_grp ~kernel_work:(copy + out)
@@ -404,9 +399,9 @@ let send m ~size payload =
       [ (Obs.Layer.Amoeba_grp, Obs.Cause.Copy, copy);
         (Obs.Layer.Flip, Obs.Cause.Proto_proc, out) ]
     ();
-  Window.await sw;
+  let ordered = Flip.Request.await sw in
   Thread.ret_frames ~layer:Obs.Layer.Amoeba_grp t.cfg.call_depth;
-  Window.check sw
+  Window.check ordered
 
 let rec receive_loop m =
   let t = m.grp in
@@ -442,8 +437,7 @@ let make_member t flip ~index =
     recv_waiters = Queue.create ();
     view = Hashtbl.create 8;
     on_membership = None;
-    join_waiter = None;
-    leave_waiter = None;
+    membership = None;
   }
 
 let register_member t ?seq_tap m =
@@ -519,41 +513,32 @@ let create_static ?(config = default_config) ~name ~sequencer flips =
   (t, members)
 
 (* Join and leave requests are retransmitted until their announcement
-   comes back through the total order (or the retries run out). *)
-let request_until m ~waiter payload =
+   comes back through the total order, or the retries run out. *)
+let membership_call m payload =
   let t = m.grp in
-  let cancelled = ref false in
+  let c =
+    Flip.Request.start
+      (Flip.Request.create (m_eng m) ~timeout:t.cfg.retrans_timeout
+         ~max_retries:t.cfg.max_retries)
+  in
+  m.membership <- Some c;
   let send_req () =
     Flip.Flip_iface.unicast m.m_flip ~src:m.m_addr ~dst:t.saddr ~size:t.cfg.accept_bytes payload
-  in
-  let rec arm tries =
-    ignore
-      (Sim.Engine.after (m_eng m) t.cfg.retrans_timeout (fun () ->
-           if not !cancelled then
-             if tries >= t.cfg.max_retries then ()
-             else begin
-               send_req ();
-               arm (tries + 1)
-             end))
   in
   let out = Flip.Flip_iface.send_cost m.m_flip ~size:t.cfg.accept_bytes in
   Thread.syscall ~layer:Obs.Layer.Amoeba_grp ~kernel_work:out
     ~charges:[ (Obs.Layer.Flip, Obs.Cause.Proto_proc, out) ]
     ();
   send_req ();
-  arm 0;
-  Thread.suspend (fun _ resume -> waiter resume);
-  cancelled := true
+  Flip.Request.arm c ~retransmit:send_req;
+  if Flip.Request.await c = None then raise (T.Group_failure "membership change not ordered")
 
 let join t flip =
   let m = make_member t flip ~index:(-1) in
   register_member t m;
-  request_until m ~waiter:(fun resume -> m.join_waiter <- Some resume)
-    (Join_req { j_addr = m.m_addr });
-  if Window.me m.win < 0 then raise (T.Group_failure "join did not complete");
+  membership_call m (Join_req { j_addr = m.m_addr });
   m
 
 let leave m =
   if Window.me m.win >= 0 && Window.active m.win then
-    request_until m ~waiter:(fun resume -> m.leave_waiter <- Some resume)
-      (Leave_req { l_index = Window.me m.win })
+    membership_call m (Leave_req { l_index = Window.me m.win })

@@ -18,8 +18,8 @@
     watermark.  [send] blocks the calling thread until its own message has
     come back ordered, as Amoeba's [grp_send] does.
 
-    Membership is dynamic: {!join} and {!leave} are ordered through the
-    sequencer as membership announcements, so every member observes the
+    Membership is dynamic: {!join} and {!leave} are {!Flip.Request} calls
+    ordered through the sequencer as announcements, so every member sees the
     same view transitions at the same point in the message sequence, and
     members that stop answering status exchanges are evicted so a dead
     member cannot block history trimming.  (Sequencer failure/recovery —
@@ -107,7 +107,8 @@ val join : t -> Flip.Flip_iface.t -> member
 
 val leave : member -> unit
 (** Blocking: returns once the leave announcement has been delivered; the
-    member stops participating. *)
+    member stops participating.
+    @raise Flip.Total_order.Group_failure if the sequencer never answers. *)
 
 val active : member -> bool
 

@@ -11,9 +11,10 @@
     explicit acknowledgement (the "3-way" part; Panda instead piggybacks
     acks).
 
-    Reliability: clients retransmit unacknowledged requests; servers
-    suppress duplicates while processing and replay cached replies until
-    the explicit ack arrives. *)
+    Reliability is {!Flip.Request}'s, placed in the kernel: clients
+    retransmit from a timer interrupt until the reply or [max_retries];
+    servers suppress duplicates while processing and replay cached replies
+    until the explicit ack arrives. *)
 
 type config = {
   header_bytes : int;  (** protocol header per message (56 in the paper) *)

@@ -138,7 +138,6 @@ let onesided =
     op_word = Sim.Time.ns 10;
     retrans_timeout = Sim.Time.ms 200;
     max_retries = 10;
-    cas_cache = 4096;
   }
 
 (* Network-era profiles: the wire, the switch, and the NIC change with the

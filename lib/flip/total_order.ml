@@ -45,21 +45,12 @@ type transmit = hdr:(Obs.Layer.t * int) option -> size:int -> Sim.Payload.t -> u
 module Window = struct
   type slot = Full of entry | Awaiting
 
-  type send = {
-    s_local : int;
-    mutable s_done : bool;
-    mutable s_failed : bool;
-    mutable s_resume : (unit -> unit) option;
-    mutable s_thread : Machine.Thread.t option;
-    mutable s_timer : Sim.Engine.handle option;
-    mutable s_tries : int;
-  }
+  type send = unit Request.call
 
   type t = {
     eng : Sim.Engine.t;
     stats : stats;
     timeout : Sim.Time.span;
-    max_retries : int;
     mutable me : int;
     mutable active : bool;
     mutable expected : int;
@@ -67,8 +58,7 @@ module Window = struct
     (* Keyed by [pair] of (sender, local). *)
     awaiting : int Id_tbl.t;
     holding : (int * Sim.Payload.t) Id_tbl.t;
-    sends : send Id_tbl.t;
-    mutable next_local : int;
+    sends : unit Request.calls;  (* by local id *)
     mutable gap_timer : Sim.Engine.handle option;
   }
 
@@ -77,15 +67,13 @@ module Window = struct
       eng;
       stats;
       timeout;
-      max_retries;
       me;
       active = true;
       expected = 0;
       stash = Id_tbl.create 32;
       awaiting = Id_tbl.create 8;
       holding = Id_tbl.create 8;
-      sends = Id_tbl.create 4;
-      next_local = 0;
+      sends = Request.create eng ~timeout ~max_retries;
       gap_timer = None;
     }
 
@@ -112,70 +100,25 @@ module Window = struct
     Id_tbl.reset w.awaiting;
     Id_tbl.reset w.holding
 
-  let start_send w =
-    w.next_local <- w.next_local + 1;
-    let s =
-      {
-        s_local = w.next_local;
-        s_done = false;
-        s_failed = false;
-        s_resume = None;
-        s_thread = None;
-        s_timer = None;
-        s_tries = 0;
-      }
-    in
-    Id_tbl.replace w.sends s.s_local s;
-    s
+  let start_send w = Request.start w.sends
+  let hold w s ~size ~user = Id_tbl.replace w.holding (pair w.me (Request.id s)) (size, user)
 
-  let local s = s.s_local
-  let tries s = s.s_tries
-  let hold w s ~size ~user = Id_tbl.replace w.holding (pair w.me s.s_local) (size, user)
+  let arm_send w s ~retransmit =
+    Request.arm s ~retransmit:(fun () ->
+        w.stats.retrans <- w.stats.retrans + 1;
+        retransmit ())
 
-  let rec arm_retry w s ~retransmit =
-    s.s_timer <-
-      Some
-        (Sim.Engine.after w.eng w.timeout (fun () ->
-             if not s.s_done then
-               if s.s_tries >= w.max_retries then begin
-                 s.s_failed <- true;
-                 Id_tbl.remove w.sends s.s_local;
-                 match s.s_resume with
-                 | Some resume ->
-                   s.s_resume <- None;
-                   resume ()
-                 | None -> ()
-               end
-               else begin
-                 s.s_tries <- s.s_tries + 1;
-                 w.stats.retrans <- w.stats.retrans + 1;
-                 retransmit ();
-                 arm_retry w s ~retransmit
-               end))
-
-  let await s =
-    if not s.s_done then
-      Machine.Thread.suspend (fun th resume ->
-          s.s_thread <- Some th;
-          s.s_resume <- Some resume)
-
-  let check s = if s.s_failed then raise (Group_failure "broadcast not ordered after retries")
+  let check = function
+    | Some () -> ()
+    | None -> raise (Group_failure "broadcast not ordered after retries")
 
   let complete w e ~wake =
     if e.e_sender = w.me then
-      match Id_tbl.find_opt w.sends e.e_local with
-      | Some s ->
-        Id_tbl.remove w.sends e.e_local;
-        s.s_done <- true;
-        (match s.s_timer with Some h -> Sim.Engine.cancel w.eng h | None -> ());
-        (match s.s_resume with
-         | Some resume ->
-           s.s_resume <- None;
-           wake s.s_thread resume
-         | None -> ())
+      match Request.find w.sends e.e_local with
+      | Some s -> Request.complete s () ~wake
       | None -> ()
 
-  let outstanding w = Id_tbl.length w.sends
+  let outstanding w = Request.outstanding w.sends
 
   module type PLACEMENT = sig
     type member

@@ -9,7 +9,7 @@
     - the wire vocabulary of the data protocol and its one failure;
     - {!Window}: a member's delivery window — in-order delivery from a
       stash of early arrivals, gap repair, BB data that is held or
-      awaited, and the sender's retry timer and completion;
+      awaited, and the member's own broadcasts as {!Request} calls;
     - {!History}: the sequencer's numbering, history, trimming, resend
       burst, re-announcement and idle-check timer.
 
@@ -78,8 +78,9 @@ type transmit = hdr:(Obs.Layer.t * int) option -> size:int -> Sim.Payload.t -> u
 module Window : sig
   type t
 
-  type send
-  (** One of the member's own broadcasts, until it comes back ordered. *)
+  type send = unit Request.call
+  (** One of the member's own broadcasts, until it comes back ordered;
+      its id is the broadcast's local id. *)
 
   val create :
     Sim.Engine.t -> stats:stats -> timeout:Sim.Time.span -> max_retries:int -> me:int -> t
@@ -102,29 +103,19 @@ module Window : sig
   val start_send : t -> send
   (** Numbers the member's next broadcast (local ids 1, 2, ...). *)
 
-  val local : send -> int
-
-  val tries : send -> int
-  (** Retransmissions so far. *)
-
   val hold : t -> send -> size:int -> user:Sim.Payload.t -> unit
   (** Keeps the member's own BB data for the accept that will order it. *)
 
-  val arm_retry : t -> send -> retransmit:(unit -> unit) -> unit
-  (** Every [timeout] until the broadcast is delivered, calls [retransmit];
-      after [max_retries] gives up, marks the send failed and wakes its
-      sender directly. *)
+  val arm_send : t -> send -> retransmit:(unit -> unit) -> unit
+  (** {!Request.arm}, counting each retransmission in the stats. *)
 
-  val await : send -> unit
-  (** Suspends the calling thread until the send completes or gives up. *)
+  val check : unit option -> unit
+  (** @raise Group_failure on [None], a send that {!Request.await} saw
+      give up. *)
 
-  val check : send -> unit
-  (** @raise Group_failure if the send gave up. *)
-
-  val complete : t -> entry -> wake:(Machine.Thread.t option -> (unit -> unit) -> unit) -> unit
+  val complete : t -> entry -> wake:(Machine.Thread.t -> (unit -> unit) -> unit) -> unit
   (** Called by the placement's delivery: if [entry] is the member's own
-      broadcast, its send completes and a sender blocked in {!await} is
-      woken through [wake] (given the blocked thread). *)
+      broadcast, its send completes ({!Request.complete}). *)
 
   val outstanding : t -> int
   (** Own broadcasts not yet completed or given up. *)

@@ -6,7 +6,6 @@ type config = {
   op_word : Sim.Time.span;
   retrans_timeout : Sim.Time.span;
   max_retries : int;
-  cas_cache : int;
 }
 
 let default_config =
@@ -18,7 +17,6 @@ let default_config =
     op_word = Sim.Time.ns 10;
     retrans_timeout = Sim.Time.ms 200;
     max_retries = 10;
-    cas_cache = 4096;
   }
 
 type op =
@@ -38,31 +36,16 @@ type Sim.Payload.t +=
   | Os_req of { op_id : int; rkey : int; off : int; op : op }
   | Os_rsp of { op_id : int; result : result }
 
-type pending = {
-  p_id : int;
-  p_thread : Machine.Thread.t;
-  mutable p_result : result option;
-  mutable p_failed : bool;
-  mutable p_resume : (unit -> unit) option;
-  mutable p_timer : Sim.Engine.handle option;
-  mutable p_tries : int;
-}
-
 type t = {
   flip : Flip.Flip_iface.t;
   cfg : config;
   addr : Flip.Address.t;
   reass : Flip.Reassembly.t;
   regions : (int, Region.t) Hashtbl.t;
-  pending : (int, pending) Hashtbl.t;
-  (* At-most-once cas: remembered results keyed by (initiator, op_id),
-     bounded in insertion order like Amoeba's reply cache. *)
-  cas_seen : (Flip.Address.t * int, int) Hashtbl.t;
-  cas_order : (Flip.Address.t * int) Queue.t;
-  mutable next_op : int;
-  mutable n_posted : int;
+  calls : result Flip.Request.calls;  (* by op_id *)
+  (* At-most-once cas: the prior value each (initiator, op_id) saw. *)
+  cas : int Flip.Request.replies;
   mutable n_target : int;
-  mutable n_retrans : int;
   mutable n_replays : int;
   mutable observer : (event -> unit) option;
 }
@@ -70,11 +53,10 @@ type t = {
 let addr t = t.addr
 let machine t = Flip.Flip_iface.machine t.flip
 let config t = t.cfg
-let posted t = t.n_posted
+let posted t = Flip.Request.opened t.calls
 let target_ops t = t.n_target
-let retransmissions t = t.n_retrans
+let retransmissions t = Flip.Request.retransmissions t.calls
 let cas_replays t = t.n_replays
-let eng t = Machine.Mach.engine (machine t)
 
 let set_observer t f =
   match t.observer with
@@ -117,11 +99,6 @@ let op_words = function
 
 let os_hdr t = (Obs.Layer.Onesided, t.cfg.os_header)
 
-let bound_cas t =
-  while Queue.length t.cas_order > t.cfg.cas_cache do
-    Hashtbl.remove t.cas_seen (Queue.pop t.cas_order)
-  done
-
 (* Target side: runs from the nested one-sided interrupt. *)
 let execute t ~src ~op_id ~rkey ~off op =
   let r = region t ~key:rkey in
@@ -132,21 +109,18 @@ let execute t ~src ~op_id ~rkey ~off op =
       Array.blit values 0 r.Region.data off (Array.length values);
       Written
     | Cas { expected; desired } ->
-      let key = (src, op_id) in
-      (match Hashtbl.find_opt t.cas_seen key with
-       | Some old ->
+      (match Flip.Request.lookup t.cas ~client:src ~id:op_id with
+       | Some (Replied old) ->
          (* Retransmitted cas: replay the remembered outcome; executing
             again could swap twice.  Reads and writes are idempotent and
             never reach this path. *)
          t.n_replays <- t.n_replays + 1;
          emit t (Target_exec { src; op_id; op; fresh = false });
          Cas_was old
-       | None ->
+       | Some (Processing | Acked) | None ->
          let old = r.Region.data.(off) in
          if old = expected then r.Region.data.(off) <- desired;
-         Hashtbl.replace t.cas_seen key old;
-         Queue.push key t.cas_order;
-         bound_cas t;
+         Flip.Request.add t.cas ~client:src ~id:op_id (Replied old);
          t.n_target <- t.n_target + 1;
          emit t (Target_exec { src; op_id; op; fresh = true });
          Cas_was old)
@@ -172,25 +146,15 @@ let handle_request t ~src ~op_id ~rkey ~off op =
     ~name:"os.op" ~cost
     (fun () -> execute t ~src ~op_id ~rkey ~off op)
 
-let wake p =
-  match p.p_resume with
-  | Some resume ->
-    p.p_resume <- None;
-    resume ()
-  | None -> ()
-
 let handle_response t ~op_id result =
-  match Hashtbl.find_opt t.pending op_id with
-  | Some p when p.p_result = None && not p.p_failed ->
-    (match p.p_timer with
-     | Some h -> Sim.Engine.cancel (eng t) h
-     | None -> ());
-    p.p_result <- Some result;
+  match Flip.Request.find t.calls op_id with
+  | Some c ->
     (* The completion is delivered straight into the blocked initiator —
        no scheduler invocation, as for Amoeba's in-kernel reply. *)
-    Machine.Thread.mark_direct_wake p.p_thread;
-    wake p
-  | Some _ | None -> () (* late duplicate after completion *)
+    Flip.Request.complete c result ~wake:(fun thread resume ->
+        Machine.Thread.mark_direct_wake thread;
+        resume ())
+  | None -> () (* late duplicate after completion *)
 
 let on_fragment t frag =
   match Flip.Reassembly.add t.reass frag with
@@ -203,20 +167,19 @@ let on_fragment t frag =
      | _ -> ())
 
 let create ?(config = default_config) flip =
+  let eng = Machine.Mach.engine (Flip.Flip_iface.machine flip) in
   let t =
     {
       flip;
       cfg = config;
-      addr = Flip.Address.fresh_point (Machine.Mach.engine (Flip.Flip_iface.machine flip));
+      addr = Flip.Address.fresh_point eng;
       reass = Flip.Reassembly.create ();
       regions = Hashtbl.create 8;
-      pending = Hashtbl.create 32;
-      cas_seen = Hashtbl.create 64;
-      cas_order = Queue.create ();
-      next_op = 0;
-      n_posted = 0;
+      calls =
+        Flip.Request.create eng ~timeout:config.retrans_timeout
+          ~max_retries:config.max_retries;
+      cas = Flip.Request.replies ();
       n_target = 0;
-      n_retrans = 0;
       n_replays = 0;
       observer = None;
     }
@@ -224,73 +187,36 @@ let create ?(config = default_config) flip =
   Flip.Flip_iface.register flip t.addr (on_fragment t);
   t
 
-let send_request t ~msg_id ~dst ~op_id ~rkey ~off op =
-  Flip.Flip_iface.unicast ~msg_id ~hdr:(os_hdr t) t.flip ~src:t.addr ~dst
-    ~size:(t.cfg.os_header + req_bytes op)
-    (Os_req { op_id; rkey; off; op })
-
 (* NIC-autonomous retransmission: the timer and the resend charge no host
    CPU — the adapter retries on its own, which is what lets the initiator
    thread stay blocked at zero cost. *)
-let rec arm_timer t p ~msg_id ~dst ~rkey ~off op =
-  p.p_timer <-
-    Some
-      (Sim.Engine.after (eng t) t.cfg.retrans_timeout (fun () ->
-           if p.p_result = None && not p.p_failed then
-             if p.p_tries >= t.cfg.max_retries then begin
-               p.p_failed <- true;
-               emit t (Failed { op_id = p.p_id });
-               wake p
-             end
-             else begin
-               p.p_tries <- p.p_tries + 1;
-               t.n_retrans <- t.n_retrans + 1;
-               send_request t ~msg_id ~dst ~op_id:p.p_id ~rkey ~off op;
-               arm_timer t p ~msg_id ~dst ~rkey ~off op
-             end))
-
 let perform t ~dst ~rkey ~off op =
-  let thread = Machine.Thread.self () in
-  t.next_op <- t.next_op + 1;
-  let op_id = t.next_op in
-  t.n_posted <- t.n_posted + 1;
+  let c = Flip.Request.start t.calls in
+  let op_id = Flip.Request.id c in
   emit t (Posted { op_id; op });
-  let p =
-    {
-      p_id = op_id;
-      p_thread = thread;
-      p_result = None;
-      p_failed = false;
-      p_resume = None;
-      p_timer = None;
-      p_tries = 0;
-    }
-  in
-  Hashtbl.replace t.pending op_id p;
   (* Posting is pure user-level work against the mapped adapter: no
      syscall, no kernel output path — just the post descriptor write. *)
   Machine.Thread.compute ~layer:Obs.Layer.Onesided ~cause:Obs.Cause.Proto_proc
     t.cfg.post_cost;
   let msg_id = Flip.Flip_iface.alloc_msg_id t.flip in
-  send_request t ~msg_id ~dst ~op_id ~rkey ~off op;
-  arm_timer t p ~msg_id ~dst ~rkey ~off op;
+  let send_request () =
+    Flip.Flip_iface.unicast ~msg_id ~hdr:(os_hdr t) t.flip ~src:t.addr ~dst
+      ~size:(t.cfg.os_header + req_bytes op)
+      (Os_req { op_id; rkey; off; op })
+  in
+  send_request ();
+  Flip.Request.arm c ~retransmit:send_request ~give_up:(fun () -> emit t (Failed { op_id }));
   (* The completion may already be in (loopback or a preempting receive
      interrupt during the post). *)
-  if p.p_result = None && not p.p_failed then
-    Machine.Thread.suspend (fun _ resume -> p.p_resume <- Some resume);
-  (match p.p_timer with
-   | Some h -> Sim.Engine.cancel (eng t) h
-   | None -> ());
-  Hashtbl.remove t.pending op_id;
-  match p.p_result with
+  match Flip.Request.await c with
   | Some result ->
     Machine.Thread.compute ~layer:Obs.Layer.Onesided
       ~cause:Obs.Cause.Proto_proc t.cfg.completion_cost;
-    emit t (Completed { op_id; result; retries = p.p_tries });
+    emit t (Completed { op_id; result; retries = Flip.Request.tries c });
     result
   | None ->
     Fmt.failwith "onesided: op %d to %a timed out after %d retries" op_id
-      Flip.Address.pp dst p.p_tries
+      Flip.Address.pp dst (Flip.Request.tries c)
 
 let read t ~dst ~rkey ~off ~words =
   match perform t ~dst ~rkey ~off (Read { words }) with

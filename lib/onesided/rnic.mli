@@ -20,11 +20,11 @@
     directly ({!Machine.Thread.mark_direct_wake}), like Amoeba's in-kernel
     reply delivery.
 
-    Loss is handled by NIC-autonomous retransmission: a hardware timer
+    Loss is handled by {!Flip.Request} placed on the NIC: a hardware timer
     resends the same message id without charging host CPU, and the target
-    keeps a bounded per-initiator result cache so a retransmitted [cas]
-    replays its recorded result instead of executing twice (at-most-once
-    semantics; reads and writes are idempotent and simply re-execute). *)
+    keeps its bounded at-most-once table so a retransmitted [cas] replays
+    its recorded result instead of executing twice (reads and writes are
+    idempotent and simply re-execute). *)
 
 type config = {
   os_header : int;  (** one-sided protocol header bytes per message *)
@@ -35,7 +35,6 @@ type config = {
   op_word : Sim.Time.span;  (** target interrupt-context cost per data word *)
   retrans_timeout : Sim.Time.span;
   max_retries : int;
-  cas_cache : int;  (** bound on remembered cas results (at-most-once) *)
 }
 
 val default_config : config

@@ -392,7 +392,7 @@ module W = Window.Make (struct
      | Some f -> f ~sender:e.e_sender ~size:e.e_size e.e_user
      | None -> ());
     Window.complete m.win e ~wake:(fun thread resume ->
-        System_layer.wake_blocked ?thread m.m_sys resume)
+        System_layer.wake_blocked ~thread m.m_sys resume)
 end)
 
 let hist_entries m =
@@ -449,7 +449,7 @@ let send_impl ~blocking m ~size payload =
   let msg_size = T.data_size t.wire size in
   let tag = System_layer.alloc_tag m.m_sys in
   let hdr = grp_hdr t in
-  let sender = Window.me m.win and local = Window.local sw in
+  let sender = Window.me m.win and local = Flip.Request.id sw in
   let msg =
     wrap t
       (if bb then T.Bb { sender; local; size; user = payload }
@@ -463,7 +463,7 @@ let send_impl ~blocking m ~size payload =
     else System_layer.send ~tag ~hdr m.m_sys ~dst:(seq_dst t) ~size:msg_size msg
   in
   let retransmit () =
-    if Window.tries sw >= 2 && t.c_crashed then maybe_report_dead m;
+    if Flip.Request.tries sw >= 2 && t.c_crashed then maybe_report_dead m;
     if bb then
       System_layer.mcast_from_interrupt ~tag ~hdr m.m_sys ~group:t.gaddr ~size:msg_size msg
     else
@@ -475,12 +475,9 @@ let send_impl ~blocking m ~size payload =
   (* Arm before transmitting: the send path's system calls suspend the
      caller, and on a sequencer-local send the whole ordering round trip
      can complete during those suspensions. *)
-  Window.arm_retry m.win sw ~retransmit;
+  Window.arm_send m.win sw ~retransmit;
   first_transmit ();
-  if blocking then begin
-    Window.await sw;
-    Window.check sw
-  end
+  if blocking then Window.check (Flip.Request.await sw)
 
 let core_member m key =
   let nc = Array.length m.pm_ms in

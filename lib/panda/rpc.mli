@@ -9,7 +9,8 @@
     makes an upcall from the system-layer daemon, and the reply may be sent
     asynchronously by {e any} thread via the [reply] closure — the
     flexibility that lets the Orca RTS use continuations for guarded
-    operations instead of blocking a server thread. *)
+    operations instead of blocking a server thread.  Retransmission and the
+    server's at-most-once replies are {!Flip.Request}'s, as in Amoeba's. *)
 
 type config = {
   header_bytes : int;  (** per-message protocol header (64 in the paper) *)

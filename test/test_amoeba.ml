@@ -629,82 +629,100 @@ let test_group_silent_tail_recovered () =
   check_int "all ordered" n (Group.messages_ordered grp)
 
 (* ------------------------------------------------------------------ *)
-(* Capabilities and the directory service *)
+(* Give-up against a silent peer *)
 
-let test_capability_validate () =
-  let priv = Capability.create_port ~seed:7 in
-  let cap = Capability.mint priv ~obj:3 in
-  check_bool "owner validates" true (Capability.validate priv cap);
-  check_bool "all rights" true (Capability.has_rights cap Capability.all_rights);
-  (* Tampering with rights without the matching check fails. *)
-  let forged = { cap with Capability.cap_rights = Capability.right_read } in
-  check_bool "tampered rights rejected" false (Capability.validate priv forged);
-  let forged2 = { cap with Capability.cap_obj = 4 } in
-  check_bool "wrong object rejected" false (Capability.validate priv forged2);
-  let other = Capability.create_port ~seed:8 in
-  check_bool "wrong server rejects" false (Capability.validate other cap)
+(* Every placement of the request core calls a peer that never hears it:
+   each data frame the caller's machine sends is dropped.  The caller
+   retransmits [max_retries] times, then gives up with its placement's
+   exception at a pinned instant.  [run] starts the row on a three-machine
+   pool and returns the blocking call and the placement's retransmission
+   counter, if it has one. *)
+type give_up_row = {
+  gu_name : string;
+  gu_caller : int;  (* the machine whose data frames are dropped *)
+  gu_exn : string;
+  gu_retries : int;  (* the placement's max_retries *)
+  gu_at : Time.t;  (* when the caller sees the give-up *)
+  gu_run : fixture -> (unit -> unit) * (unit -> int) option;
+}
 
-let test_capability_restrict () =
-  let priv = Capability.create_port ~seed:7 in
-  let cap = Capability.mint priv ~obj:1 in
-  let ro = Capability.restrict cap ~rights:Capability.right_read in
-  check_bool "restricted validates" true (Capability.validate priv ro);
-  check_bool "read only" true (Capability.has_rights ro Capability.right_read);
-  check_bool "no write" false (Capability.has_rights ro Capability.right_write);
-  (* Upgrading rights on a restricted capability must not validate. *)
-  let upgraded = { ro with Capability.cap_rights = Capability.all_rights } in
-  check_bool "upgrade rejected" false (Capability.validate priv upgraded);
-  (* Only owner capabilities restrict offline (as in Amoeba). *)
-  let double = Capability.restrict ro ~rights:0 in
-  check_bool "double restriction rejected" false (Capability.validate priv double)
+let group_row ~name ~caller ~at run =
+  { gu_name = name; gu_caller = caller; gu_exn = "Group_failure"; gu_retries = 30; gu_at = at;
+    gu_run = run }
 
-let prop_capability_unforgeable =
-  QCheck.Test.make ~name:"random check fields never validate" ~count:300
-    QCheck.(pair (int_range 1 1_000_000) (int_range 0 0xFF))
-    (fun (check, rights) ->
-      let priv = Capability.create_port ~seed:99 in
-      let cap =
-        {
-          Capability.cap_port = Capability.public priv;
-          cap_obj = 5;
-          cap_rights = rights;
-          cap_check = check;
-        }
-      in
-      not (Capability.validate priv cap))
+let give_up_rows =
+  [ { gu_name = "amoeba rpc"; gu_caller = 0; gu_exn = "Rpc_failure"; gu_retries = 30;
+      gu_at = 6_200_072_000;
+      gu_run =
+        (fun fx ->
+          let _srpc, port, _ = spawn_incr_server fx ~machine:1 ~count:1 in
+          let crpc = Rpc.create fx.flips.(0) in
+          ( (fun () -> ignore (Rpc.trans crpc ~dst:(Rpc.address port) ~size:4 (Num 1))),
+            Some (fun () -> Rpc.retransmissions crpc) )) };
+    { gu_name = "panda rpc"; gu_caller = 0; gu_exn = "Rpc_failure"; gu_retries = 30;
+      gu_at = 6_200_314_400;
+      gu_run =
+        (fun fx ->
+          let sys i = Panda.System_layer.create ~name:(Printf.sprintf "pan%d" i) fx.flips.(i) in
+          let srpc = Panda.Rpc.create (sys 1) and crpc = Panda.Rpc.create (sys 0) in
+          Panda.Rpc.set_request_handler srpc (fun ~client:_ ~size:_ _ ~reply ->
+              reply ~size:4 (Num 0));
+          ( (fun () -> ignore (Panda.Rpc.trans crpc ~dst:(Panda.Rpc.address srpc) ~size:4 (Num 1))),
+            Some (fun () -> Panda.Rpc.retransmissions crpc) )) };
+    { gu_name = "rnic read"; gu_caller = 0; gu_exn = "Failure"; gu_retries = 10;
+      gu_at = 2_200_078_000;
+      gu_run =
+        (fun fx ->
+          let target = Onesided.Rnic.create fx.flips.(1) in
+          Onesided.Rnic.register_region target
+            (Onesided.Region.create ~key:7 ~name:"mem" ~words:8);
+          let rnic = Onesided.Rnic.create fx.flips.(0) in
+          ( (fun () ->
+              ignore (Onesided.Rnic.read rnic ~dst:(Onesided.Rnic.addr target) ~rkey:7 ~off:0 ~words:1)),
+            Some (fun () -> Onesided.Rnic.retransmissions rnic) )) };
+    group_row ~name:"group send" ~caller:1 ~at:6_200_072_000 (fun fx ->
+        let grp, members = Group.create_static ~name:"g" ~sequencer:0 (Array.sub fx.flips 0 2) in
+        ( (fun () -> Group.send members.(1) ~size:32 (Num 1)),
+          Some (fun () -> Group.retransmissions grp) ));
+    group_row ~name:"join" ~caller:2 ~at:6_200_125_000 (fun fx ->
+        let grp, _ = Group.create_static ~name:"g" ~sequencer:0 (Array.sub fx.flips 0 2) in
+        ((fun () -> ignore (Group.join grp fx.flips.(2))), None));
+    group_row ~name:"leave" ~caller:2 ~at:6_200_125_000 (fun fx ->
+        let _, members = Group.create_static ~name:"g" ~sequencer:0 fx.flips in
+        ((fun () -> Group.leave members.(2)), None)) ]
 
-let test_directory_service () =
-  let fx = pool 2 in
-  let server_rpc = Rpc.create fx.flips.(1) in
-  let dir = Directory.start server_rpc in
-  let dir_addr = Directory.address dir in
-  let admin = Directory.root dir in
-  let ro = Capability.restrict admin ~rights:Capability.right_read in
-  let client = Rpc.create fx.flips.(0) in
-  let svc_priv = Capability.create_port ~seed:42 in
-  let svc_cap = Capability.mint svc_priv ~obj:1 in
-  let looked_up = ref None in
-  let denied_register = ref false in
-  let denied_lookup = ref false in
-  let names = ref [] in
+let test_give_up row () =
+  let fx = pool 3 in
+  let sent = ref 0 in
+  Segment.set_fault_injector fx.topo.Topology.segments.(0)
+    (Some
+       (fun frame ->
+         match frame.Frame.payload with
+         | Flip_iface.Data _ when frame.Frame.src = row.gu_caller ->
+           incr sent;
+           true
+         | _ -> false));
+  let call, retransmissions = row.gu_run fx in
+  let outcome = ref None in
   ignore
-    (Thread.spawn fx.machines.(0) "client" (fun () ->
-         (* Admin registers a service. *)
-         Directory.register client ~dir:dir_addr ~cap:admin ~name:"tty" svc_cap;
-         (* Read-only capability can look it up... *)
-         looked_up := Some (Directory.lookup client ~dir:dir_addr ~cap:ro ~name:"tty");
-         names := Directory.list_names client ~dir:dir_addr ~cap:ro;
-         (* ...but cannot register. *)
-         (try Directory.register client ~dir:dir_addr ~cap:ro ~name:"evil" svc_cap
-          with Directory.Denied -> denied_register := true);
-         (* Unknown names are denied. *)
-         (try ignore (Directory.lookup client ~dir:dir_addr ~cap:ro ~name:"nope")
-          with Directory.Denied -> denied_lookup := true)));
-  Engine.run fx.eng;
-  check_bool "lookup returned the service capability" true (!looked_up = Some svc_cap);
-  Alcotest.(check (list string)) "names" [ "tty" ] !names;
-  check_bool "read-only register denied" true !denied_register;
-  check_bool "unknown lookup denied" true !denied_lookup
+    (Thread.spawn fx.machines.(row.gu_caller) "caller" (fun () ->
+         let exn =
+           match call () with
+           | () -> "returned"
+           | exception (Rpc.Rpc_failure _ | Panda.Rpc.Rpc_failure _) -> "Rpc_failure"
+           | exception Failure _ -> "Failure"
+           | exception Total_order.Group_failure _ -> "Group_failure"
+         in
+         outcome := Some (exn, Engine.now fx.eng)));
+  Engine.run ~until:(Time.sec 60) fx.eng;
+  match !outcome with
+  | None -> Alcotest.fail "the call neither returned nor raised"
+  | Some (exn, at) ->
+    Alcotest.(check string) "exception" row.gu_exn exn;
+    check_int "retransmissions on the wire" row.gu_retries (!sent - 1);
+    Option.iter (fun n -> check_int "retransmissions counted" row.gu_retries (n ())) retransmissions;
+    check_int "instant of the give-up" row.gu_at at;
+    check_int "nothing pending" 0 (Engine.pending fx.eng)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -739,13 +757,10 @@ let () =
           Alcotest.test_case "lost final message" `Quick test_group_lost_final_message;
         ]
         @ qsuite [ prop_group_total_order_under_loss ] );
-      ( "capability",
-        [
-          Alcotest.test_case "validate" `Quick test_capability_validate;
-          Alcotest.test_case "restrict" `Quick test_capability_restrict;
-          Alcotest.test_case "directory service" `Quick test_directory_service;
-        ]
-        @ qsuite [ prop_capability_unforgeable ] );
+      ( "give-up",
+        List.map
+          (fun row -> Alcotest.test_case row.gu_name `Quick (test_give_up row))
+          give_up_rows );
     ]
 
 

@@ -664,9 +664,9 @@ let run_window order arrivals =
     (fun (e : Tot.entry) ->
       if e.e_sender = 0 then begin
         let s = Tot.Window.start_send m.tw in
-        assert (Tot.Window.local s = e.e_local);
+        assert (Flip.Request.id s = e.e_local);
         if Tot.uses_bb tot_wire e.e_size then Tot.Window.hold m.tw s ~size:e.e_size ~user:e.e_user;
-        Tot.Window.arm_retry m.tw s ~retransmit:ignore
+        Tot.Window.arm_send m.tw s ~retransmit:ignore
       end)
     order;
   List.iter (fun (at, msg) -> ignore (Engine.at eng at (fun () -> input msg))) arrivals;
@@ -726,6 +726,75 @@ let prop_window_in_order =
       let m = run_window order arrivals in
       delivered_once_in_order order m && !(m.requests) = 0)
 
+(* ------------------------------------------------------------------ *)
+(* The request core *)
+
+(* Two blocked callers: one answered at 100 ms, one never.  The silent
+   call retransmits every 200 ms, gives up at its third timeout, and a
+   reply that lands after that, before its woken caller runs, finds the
+   call closed: the caller sees the give-up. *)
+let test_request_calls () =
+  let e, machines, _, _ = pool 1 in
+  let calls = Request.create e ~timeout:(Time.ms 200) ~max_retries:2 in
+  let log = ref [] in
+  let note fmt = Printf.ksprintf (fun s -> log := (Engine.now e, s) :: !log) fmt in
+  let resume_caller _ resume = resume () in
+  let caller name c =
+    ignore
+      (Thread.spawn machines.(0) name (fun () ->
+           match Request.await c with
+           | Some r -> note "%s: %s" name r
+           | None -> note "%s: gave up" name))
+  in
+  let answered = Request.start calls and silent = Request.start calls in
+  check_int "first id" 1 (Request.id answered);
+  check_int "second id" 2 (Request.id silent);
+  Request.arm answered ~retransmit:(fun () -> note "answered call retransmitted");
+  Request.arm silent
+    ~retransmit:(fun () -> note "retransmit %d" (Request.tries silent))
+    ~give_up:(fun () ->
+      note "give up";
+      ignore
+        (Engine.schedule_now e (fun () ->
+             check_bool "closed" true (Request.find calls 2 = None);
+             Request.complete silent "late reply" ~wake:resume_caller;
+             note "late reply")));
+  caller "a" answered;
+  caller "b" silent;
+  ignore (Engine.at e (Time.ms 100) (fun () -> Request.complete answered "reply" ~wake:resume_caller));
+  Engine.run e;
+  Alcotest.(check (list (pair int string)))
+    "log"
+    [ (Time.ms 100, "a: reply"); (Time.ms 200, "retransmit 1"); (Time.ms 400, "retransmit 2");
+      (Time.ms 600, "give up"); (Time.ms 600, "late reply"); (Time.ms 600, "b: gave up") ]
+    (List.rev !log);
+  check_int "retransmissions" 2 (Request.retransmissions calls);
+  check_int "opened" 2 (Request.opened calls);
+  check_int "outstanding" 0 (Request.outstanding calls);
+  check_int "nothing pending" 0 (Engine.pending e)
+
+(* The at-most-once table keeps the 4,096 newest requests; an ack turns a
+   request it still holds into a tombstone and leaves a forgotten one
+   forgotten. *)
+let test_request_replies () =
+  let e = Engine.create () in
+  let client = Address.fresh_point e in
+  let t = Request.replies () in
+  for id = 1 to 4097 do
+    Request.add t ~client ~id Request.Processing
+  done;
+  check_bool "oldest forgotten" true (Request.lookup t ~client ~id:1 = None);
+  Request.reply t ~client ~id:2 "r2";
+  check_bool "replied" true (Request.lookup t ~client ~id:2 = Some (Request.Replied "r2"));
+  Request.ack t ~client ~id:2;
+  check_bool "acked" true (Request.lookup t ~client ~id:2 = Some Request.Acked);
+  Request.ack t ~client ~id:1;
+  check_bool "a forgotten request stays forgotten" true (Request.lookup t ~client ~id:1 = None);
+  Request.add t ~client ~id:4098 Request.Processing;
+  check_bool "next oldest forgotten" true (Request.lookup t ~client ~id:2 = None);
+  check_bool "other clients apart" true
+    (Request.lookup t ~client:(Address.fresh_point e) ~id:4098 = None)
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -760,6 +829,11 @@ let () =
         ]
         @ qsuite [ prop_ordered_ids_match_hashtbl ] );
       ("total order", qsuite [ prop_window_any_arrival; prop_window_in_order ]);
+      ( "request",
+        [
+          Alcotest.test_case "calls give up for good" `Quick test_request_calls;
+          Alcotest.test_case "at-most-once table" `Quick test_request_replies;
+        ] );
       ( "iface",
         [
           Alcotest.test_case "unicast + locate" `Quick test_unicast_with_locate;

@@ -311,6 +311,35 @@ let test_lossy_pinned () =
         stacks micro_stacks)
     golden_lossy
 
+(* ASP at P=8 under loss and duplication takes the BB path (held and
+   awaited data, accepts) and every retransmission timer: a change to the
+   request core that moved one retransmission moves these.  What
+   [amoeba_repro app asp -p 8 --faults seed=7,loss=0.01,dup=0.005
+   --checked] prints: checksum, frames killed, retransmissions, simulated
+   seconds and events. *)
+let golden_lossy_asp =
+  [
+    (Core.Cluster.Kernel, 40, 110, 36.207017440000001, 118_552);
+    (Core.Cluster.User, 43, 362, 33.30196256, 264_636);
+  ]
+
+let test_lossy_asp_pinned () =
+  let faults = Result.get_ok (Faults.Spec.parse "seed=7,loss=0.01,dup=0.005") in
+  List.iter
+    (fun (impl, kills, retrans, seconds, events) ->
+      let o =
+        Core.Runner.run ~faults ~checked:true ~impl ~procs:8 (Core.Runner.app_named "asp")
+      in
+      let tag s = Core.Cluster.impl_label impl ^ " " ^ s in
+      Alcotest.(check int) (tag "checksum") 4363427 o.Core.Runner.o_checksum;
+      check_bool (tag "valid") true o.Core.Runner.o_valid;
+      Alcotest.(check (list string)) (tag "violations") [] o.Core.Runner.o_violations;
+      Alcotest.(check int) (tag "killed") kills o.Core.Runner.o_fault_kills;
+      Alcotest.(check int) (tag "retransmissions") retrans o.Core.Runner.o_retrans;
+      exact (tag "seconds") seconds o.Core.Runner.o_seconds;
+      Alcotest.(check int) (tag "events") events o.Core.Runner.o_events)
+    golden_lossy_asp
+
 let () =
   Alcotest.run "golden"
     [
@@ -329,6 +358,8 @@ let () =
           Alcotest.test_case "breakdowns pinned" `Quick test_breakdowns_pinned;
           Alcotest.test_case "micro ablations pinned" `Quick test_ablations_pinned;
           Alcotest.test_case "null latencies under loss pinned" `Quick test_lossy_pinned;
+          Alcotest.test_case "asp retransmissions under loss pinned" `Quick
+            test_lossy_asp_pinned;
         ] );
       ( "ledger",
         [ Alcotest.test_case "conservation per stack" `Quick test_ledger_conservation ] );
