@@ -267,8 +267,9 @@ let check_sequencer ?faults impls policies =
         policies)
     impls
 
-(* The DHT and the sharded service run every RPC stack under the single
-   sequencer, and the one-sided stack has no sequencer to crash. *)
+(* The key-value service (the crossover's DHT, the cluster's shards) runs
+   every RPC stack under the single sequencer, and the one-sided stack
+   has no sequencer to crash. *)
 let check_stacks ?faults stacks =
   check_sequencer ?faults
     (List.filter_map
@@ -866,7 +867,7 @@ let calibrate_cmd =
           latency; $(b,--out) saves a profile file for $(b,--profile)")
     Term.(const run $ profile_arg $ name_arg $ out_arg)
 
-(* --- DHT and the one-sided crossover --- *)
+(* --- the one-sided crossover --- *)
 
 let reads_arg =
   Arg.(
@@ -874,47 +875,6 @@ let reads_arg =
     & opt (list int) [ 90 ]
     & info [ "reads" ] ~docv:"PCT,..."
         ~doc:"Get share(s) of the Zipf get/put mix, percent")
-
-let dht_config ~clients ~warmup ~window ~seed =
-  {
-    Load.Clients.default with
-    Load.Clients.clients_per_node = clients;
-    warmup;
-    window;
-    seed;
-  }
-
-let dht_cmd =
-  let stack_arg =
-    Arg.(
-      value
-      & opt stack_conv Core.Cluster.One_sided
-      & info [ "stack" ] ~doc:"kernel | user | optimized | onesided")
-  in
-  let run stack reads nodes clients window warmup seed net faults checked lanes
-      jobs =
-    check_stacks ?faults [ stack ];
-    Core.Cluster.set_default_lanes lanes;
-    let config = dht_config ~clients ~warmup ~window ~seed in
-    let cells =
-      Artifacts.with_pool jobs (fun ?pool () ->
-          Core.Experiments.onesided_crossover ?pool ?faults ~checked
-            ~nets:[ net ] ~stacks:[ stack ] ~read_pcts:reads ~nodes ~config ())
-    in
-    List.iter (fun c -> Format.printf "%a@." Core.Experiments.pp_xcell c) cells;
-    if List.exists (fun c -> Artifacts.xcell_violations c > 0) cells then exit 1
-  in
-  Cmd.v
-    (Cmd.info "dht"
-       ~doc:
-         "Run the Zipf get/put distributed hash table over one stack on one \
-          network era (a crossover cell): latency probe plus closed-loop \
-          capacity, with the ledger partition and coherence checks")
-    Term.(
-      const run $ stack_arg $ reads_arg $ nodes_arg Arg.int 4 $ clients_arg 2
-      $ window_arg time_conv (seconds 0.5)
-      $ warmup_arg 0.1 $ seed_arg $ profile_arg $ faults_arg $ checked_arg
-      $ lanes_arg $ jobs_arg 1)
 
 let crossover_cmd =
   let nets_arg =
@@ -928,7 +888,15 @@ let crossover_cmd =
       lanes jobs =
     check_stacks ?faults (Option.value stacks ~default:Core.Cluster.all_stacks);
     Core.Cluster.set_default_lanes lanes;
-    let config = dht_config ~clients ~warmup ~window ~seed in
+    let config =
+      {
+        Load.Clients.default with
+        Load.Clients.clients_per_node = clients;
+        warmup;
+        window;
+        seed;
+      }
+    in
     let cells =
       Artifacts.with_pool jobs (fun ?pool () ->
           Core.Experiments.onesided_crossover ?pool ?faults ~checked ?nets
@@ -944,9 +912,11 @@ let crossover_cmd =
   Cmd.v
     (Cmd.info "crossover"
        ~doc:
-         "Sweep the DHT workload over profile x stack x mix and report the \
-          RPC-vs-one-sided capacity crossover with its ledger-differential \
-          mechanism")
+         "Sweep the Zipf get/put DHT (a one-shard key-value service on \
+          rank 0) over profile x stack x mix: per cell a latency probe and \
+          a closed-loop capacity run with the ledger partition and \
+          coherence checks, then the RPC-vs-one-sided capacity crossover \
+          with its ledger-differential mechanism")
     Term.(
       const run $ nets_arg $ stacks_arg $ reads_arg $ nodes_arg Arg.int 4
       $ clients_arg 2
@@ -1114,7 +1084,6 @@ let () =
             tail_grid_cmd;
             soak_cmd;
             calibrate_cmd;
-            dht_cmd;
             crossover_cmd;
             cluster_cmd;
           ]))

@@ -46,6 +46,3 @@ let block_range ~n ~parts ~rank =
   let lo = (rank * base) + min rank rem in
   let hi = lo + base + (if rank < rem then 1 else 0) in
   (lo, hi)
-
-let zipf_cdf = Load.Keys.zipf_cdf
-let zipf_draw = Load.Keys.zipf_draw

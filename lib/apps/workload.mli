@@ -14,14 +14,6 @@ val block_range : n:int -> parts:int -> rank:int -> int * int
 (** [block_range ~n ~parts ~rank] is the half-open row range [lo, hi) of
     block [rank] when [n] items split into [parts] contiguous blocks. *)
 
-val zipf_cdf : keys:int -> theta:float -> float array
-(** Cumulative Zipf(θ) key-popularity distribution — see {!Load.Keys},
-    which this re-exports so keyed apps ({!Dht}, the sharded service) and
-    the load generators share one key source. *)
-
-val zipf_draw : float array -> Sim.Rng.t -> int
-(** One key draw from a {!zipf_cdf} (exactly one RNG float). *)
-
 type Sim.Payload.t +=
   | Int_v of int
   | Int2 of int * int

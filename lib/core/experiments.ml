@@ -1147,8 +1147,6 @@ type xcell = {
   xc_capacity : Load.Metrics.t;  (** closed-loop, zero think time *)
   xc_ledger : os_ledger;  (** the capacity cell's window ledger *)
   xc_wire_util : float;  (** busiest segment over the capacity window *)
-  xc_gets : int;
-  xc_puts : int;
   xc_dht_violations : int;
 }
 
@@ -1181,41 +1179,62 @@ let window_snapshots ?(also = ignore) cluster cfg =
 let max_of = Array.fold_left Float.max 0.
 let sum_of = Array.fold_left ( +. ) 0.
 
+(* A service's own conformance count: client-observed violations plus the
+   post-drain at-rest audit.  Every cell counts it here, never through
+   its checker, so a checked run reports what an unchecked one does. *)
+let service_violations service =
+  Shard.Service.violations service
+  + List.length (Shard.Service.check_at_rest service)
+
+(* The crossover's workload, Brock et al.'s DHT: a one-shard, unreplicated
+   [Shard.Service] on rank 0 holding 1024 keys of 64-word values, drawn
+   Zipf(0.99), at 5 us + 10 ns/word of server store CPU per op. *)
+let dht_params ~read_pct =
+  {
+    Shard.Service.default_params with
+    Shard.Service.sv_keys = 1024;
+    sv_value_words = 64;
+    sv_shards = 1;
+    sv_replicas = 1;
+    sv_read_pct = read_pct;
+    sv_skew = Load.Keys.Zipf 0.99;
+    sv_store_fixed = Sim.Time.us 5;
+    sv_store_word = Sim.Time.ns 10;
+  }
+
 (* One DHT measurement on a fresh cluster.  Returns the window metrics
    plus the ledger partition, the busiest segment's utilization over the
-   window, and the DHT's own coherence counters (client-observed torn
-   blocks plus the post-drain at-rest scan). *)
-let dht_cell ?faults ?checked ~net ~stack ~read_pct ~params ~nodes cfg () =
+   window, and the service's own conformance count (client-observed
+   violations plus the post-drain at-rest audit). *)
+let dht_cell ?faults ?checked ~net ~stack ~read_pct ~nodes cfg () =
   let cell = Cell.create ?faults ?checked ~net ~n:nodes stack in
   let cluster = Cell.cluster cell in
   let eng = cluster.Cluster.eng in
-  let dp = { params with Apps.Dht.dh_read_pct = read_pct } in
+  let params = dht_params ~read_pct in
+  let router = Shard.Router.create ~shards:1 ~replicas:1 ~servers:[| 0 |] in
   let recorder = Obs.Recorder.create () in
   let wire = window_snapshots cluster cfg in
-  let dht =
+  let service =
     match stack with
     | Cluster.Rpc_stack _ ->
-      let backends = Cell.backends cell in
-      Apps.Dht.create_rpc ~params:dp ~backends ~server:0 ()
+      Shard.Service.create_rpc ~params ~backends:(Cell.backends cell) ~router ()
     | Cluster.One_sided ->
-      let rnics = Cell.rnics cell in
-      Apps.Dht.create_onesided ~params:dp ~rnics ~server:0 ()
+      Shard.Service.create_onesided ~params ~rnics:(Cell.rnics cell) ~router ()
   in
   let m =
     Load.Clients.run_custom cfg ~eng ~machines:cluster.Cluster.machines
       ~label:(Cluster.stack_label stack) ~op_name:"dht" ~recorder
-      ~op:(fun rank rng -> Apps.Dht.client_op dht ~rank rng)
+      ~op:(fun rank rng -> Shard.Service.client_op service ~rank rng)
       ()
   in
   let m = { m with Load.Metrics.violations = (Cell.finish cell).Cell.n_violations } in
-  let dviol = Apps.Dht.violations dht + Apps.Dht.check_at_rest dht in
-  (m, os_ledger_of recorder, max_of (wire ()), Apps.Dht.gets dht, Apps.Dht.puts dht, dviol)
+  (m, os_ledger_of recorder, max_of (wire ()), service_violations service)
 
 let crossover_nets = [ Params.net10m; Params.net100m; Params.net1g ]
 
 let onesided_crossover ?pool ?faults ?checked
     ?(nets = crossover_nets) ?(stacks = Cluster.all_stacks)
-    ?(read_pcts = [ 90 ]) ?(nodes = 4) ?(params = Apps.Dht.default_params)
+    ?(read_pcts = [ 90 ]) ?(nodes = 4)
     ?(config = { Load.Clients.default with Load.Clients.clients_per_node = 2 })
     () =
   let lat_cfg =
@@ -1231,13 +1250,13 @@ let onesided_crossover ?pool ?faults ?checked
           (fun read_pct ->
             List.map
               (fun stack () ->
-                let lat, _, _, _, _, lat_viol =
-                  dht_cell ?faults ?checked ~net ~stack ~read_pct ~params
-                    ~nodes lat_cfg ()
+                let lat, _, _, lat_viol =
+                  dht_cell ?faults ?checked ~net ~stack ~read_pct ~nodes
+                    lat_cfg ()
                 in
-                let cap, ledger, wire, gets, puts, cap_viol =
-                  dht_cell ?faults ?checked ~net ~stack ~read_pct ~params
-                    ~nodes cap_cfg ()
+                let cap, ledger, wire, cap_viol =
+                  dht_cell ?faults ?checked ~net ~stack ~read_pct ~nodes
+                    cap_cfg ()
                 in
                 {
                   xc_net = net.Params.np_name;
@@ -1247,8 +1266,6 @@ let onesided_crossover ?pool ?faults ?checked
                   xc_capacity = cap;
                   xc_ledger = ledger;
                   xc_wire_util = wire;
-                  xc_gets = gets;
-                  xc_puts = puts;
                   xc_dht_violations = lat_viol + cap_viol;
                 })
               stacks)
@@ -1493,7 +1510,6 @@ let cluster_cell ?faults ?checked ?net ?lanes ?(shards = 32) ?(replicas = 1)
       let rnics = Cell.rnics cell in
       (Shard.Service.create_onesided ~params:p ~rnics ~router (), None)
   in
-  Option.iter (Shard.Service.register_checker service) (Cell.checker cell);
   let m = run_load service in
   let m = { m with Load.Metrics.violations = (Cell.finish cell).Cell.n_violations } in
   let wire = wire () in
@@ -1516,9 +1532,7 @@ let cluster_cell ?faults ?checked ?net ?lanes ?(shards = 32) ?(replicas = 1)
     cc_relays = Shard.Service.relays service;
     cc_migrations = Shard.Service.migrations service;
     cc_moves = (match stats_opt with Some s -> s.Shard.Rebalancer.rs_moves | None -> 0);
-    cc_service_viol =
-      Shard.Service.violations service
-      + List.length (Shard.Service.check_at_rest service);
+    cc_service_viol = service_violations service;
   }
 
 let cluster_nodes = [ 64; 256 ]

@@ -304,11 +304,10 @@ type xcell = {
   xc_capacity : Load.Metrics.t;  (** closed-loop, zero think time *)
   xc_ledger : os_ledger;  (** the capacity window's ledger partition *)
   xc_wire_util : float;  (** busiest segment over the capacity window *)
-  xc_gets : int;
-  xc_puts : int;
   xc_dht_violations : int;
-      (** torn/spliced blocks seen by clients + bad slots at rest, summed
-          over both cells (0 for a correct backend, faults or not) *)
+      (** the service's client-observed violations + its at-rest audit,
+          summed over both cells (0 for a correct backend, faults or
+          not) *)
 }
 
 val crossover_nets : Params.net_profile list
@@ -322,16 +321,17 @@ val onesided_crossover :
   ?stacks:Cluster.stack list ->
   ?read_pcts:int list ->
   ?nodes:int ->
-  ?params:Apps.Dht.params ->
   ?config:Load.Clients.config ->
   unit ->
   xcell list
 (** The tentpole experiment: the Zipf get/put DHT over every stack
     (default {!Cluster.all_stacks}) on every network era, one latency
     probe and one capacity cell each (defaults: 4 nodes, 2 clients per
-    client node, 90% reads).  Cells are returned in
-    (net, read_pct, stack) input order and fan out over [?pool] with
-    bit-identical results. *)
+    client node, 90% reads).  The DHT is a one-shard, unreplicated
+    {!Shard.Service} on rank 0: 1024 keys of 64-word values, Zipf(0.99)
+    keys, 5 us + 10 ns/word of server store CPU per op.  Cells are
+    returned in (net, read_pct, stack) input order and fan out over
+    [?pool] with bit-identical results. *)
 
 type crossover_row = {
   xs_net : string;
@@ -480,7 +480,8 @@ type ccell = {
   cc_moves : int;  (** rebalancer decisions taken *)
   cc_service_viol : int;
       (** service conformance violations (client-observed plus the
-          at-rest audit) — zero on a healthy run *)
+          at-rest audit), counted once whether or not the cell is
+          checked — zero on a healthy run *)
 }
 
 val cluster_default_config : Load.Clients.config

@@ -17,16 +17,11 @@ val skew_of_string : string -> skew option
 val theta : skew -> float
 (** 0 for [Uniform]. *)
 
-val zipf_cdf : keys:int -> theta:float -> float array
-(** Cumulative Zipf(θ) distribution over [0, keys); the last entry is
-    pinned to 1.0. *)
-
-val zipf_draw : float array -> Sim.Rng.t -> int
-(** One draw from a CDF by binary search: exactly one RNG float. *)
-
 val cdf : skew -> keys:int -> float array option
-(** The CDF to pass to {!draw}; [None] for the uniform source. *)
+(** The cumulative Zipf(θ) distribution over [0, keys) to pass to
+    {!draw}, its last entry pinned to 1.0; [None] for the uniform
+    source. *)
 
 val draw : ?cdf:float array -> keys:int -> Sim.Rng.t -> int
 (** One key draw: uniform when [cdf] is absent (one RNG int), Zipf
-    otherwise (one RNG float). *)
+    otherwise (one RNG float, binary search over the CDF). *)

@@ -43,9 +43,9 @@ type Sim.Payload.t +=
     }
   | Sv_install_ack
 
-(* Block layout mirrors [Apps.Dht]: value words then a tag word carrying
-   the version, so any reader can verify the block against its own tag —
-   stale is legal, torn or spliced is not. *)
+(* Block layout: value words then a tag word carrying the version, so any
+   reader can verify the block against its own tag — stale is legal, torn
+   or spliced is not. *)
 let block_words p = p.sv_value_words + 1
 let mix key version = (key * 1_000_003) lxor (version * 7_919)
 let pattern_word key version j = mix key version + j

@@ -221,7 +221,8 @@ let test_faults_dup_corrupt () =
   check_int "duplicate cas requests replayed, not re-executed" 8 replays
 
 (* ------------------------------------------------------------------ *)
-(* DHT coherence over both transports *)
+(* DHT coherence over both transports: the crossover's workload, a
+   one-shard key-value service on rank 0, at a small table size *)
 
 let dht_run ?faults ~onesided () =
   let stack =
@@ -230,12 +231,19 @@ let dht_run ?faults ~onesided () =
   let cell = Core.Cell.create ?faults ~n:3 stack in
   let cluster = Core.Cell.cluster cell in
   let params =
-    { Apps.Dht.default_params with Apps.Dht.dh_keys = 64; dh_value_words = 8 }
+    {
+      Shard.Service.default_params with
+      Shard.Service.sv_keys = 64;
+      sv_value_words = 8;
+      sv_shards = 1;
+    }
   in
+  let router = Shard.Router.create ~shards:1 ~replicas:1 ~servers:[| 0 |] in
   let dht =
     if onesided then
-      Apps.Dht.create_onesided ~params ~rnics:(Core.Cell.rnics cell) ~server:0 ()
-    else Apps.Dht.create_rpc ~params ~backends:(Core.Cell.backends cell) ~server:0 ()
+      Shard.Service.create_onesided ~params ~rnics:(Core.Cell.rnics cell) ~router ()
+    else
+      Shard.Service.create_rpc ~params ~backends:(Core.Cell.backends cell) ~router ()
   in
   let root = Sim.Rng.create ~seed:3 in
   for rank = 1 to 2 do
@@ -244,18 +252,19 @@ let dht_run ?faults ~onesided () =
       (Machine.Thread.spawn cluster.Core.Cluster.machines.(rank) "dht-client"
          (fun () ->
            for _ = 1 to 150 do
-             Apps.Dht.client_op dht ~rank rng
+             Shard.Service.client_op dht ~rank rng
            done))
   done;
   Sim.Engine.run cluster.Core.Cluster.eng;
   dht
 
 let check_dht dht =
-  check_int "300 ops ran" 300 (Apps.Dht.ops dht);
+  check_int "300 ops ran" 300 (Shard.Service.ops dht);
   check_bool "mix has both ops" true
-    (Apps.Dht.gets dht > 0 && Apps.Dht.puts dht > 0);
-  check_int "no torn blocks observed" 0 (Apps.Dht.violations dht);
-  check_int "store coherent at rest" 0 (Apps.Dht.check_at_rest dht)
+    (Shard.Service.gets dht > 0 && Shard.Service.puts_acked dht > 0);
+  check_int "no torn blocks observed" 0 (Shard.Service.violations dht);
+  Alcotest.(check (list string))
+    "store coherent at rest" [] (Shard.Service.check_at_rest dht)
 
 let test_dht_rpc () = check_dht (dht_run ~onesided:false ())
 let test_dht_onesided () = check_dht (dht_run ~onesided:true ())
@@ -267,8 +276,8 @@ let test_dht_onesided_faults () =
    on the same keys. *)
 let test_dht_same_mix () =
   let a = dht_run ~onesided:false () and b = dht_run ~onesided:true () in
-  check_int "same gets" (Apps.Dht.gets a) (Apps.Dht.gets b);
-  check_int "same puts" (Apps.Dht.puts a) (Apps.Dht.puts b)
+  check_int "same gets" (Shard.Service.gets a) (Shard.Service.gets b);
+  check_int "same puts" (Shard.Service.puts_acked a) (Shard.Service.puts_acked b)
 
 (* ------------------------------------------------------------------ *)
 (* Golden crossover (reduced): pinned capacities, the winner flip, the
